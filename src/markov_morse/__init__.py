@@ -7,67 +7,28 @@ dynamics carry homological decorations; tracking them across the threshold
 grid yields an index-decorated persistence diagram, compared by an
 index-aware bottleneck distance that provably moves no faster than the
 matrix entries.
+
+The package exports the pipeline; the lower layers (cells, fields,
+dynamics, homology) are imported from their own modules.
 """
 
-from .bottleneck import BottleneckResult, MatchPair, bottleneck_distance, bottleneck_matching
-from .cells import (
-    Cell,
-    CellSet,
-    StateComplex,
-    build_complex,
-    closure,
-    format_cell,
-    is_closed,
-    is_locally_closed,
-    mouth,
-)
-from .dynamics import MGraph, MorseOrder, MorseSet, build_mgraph, morse_order, morse_sets, pi_map
-from .harness import (
-    PropertyReport,
-    RandomChainSpec,
-    StabilityReport,
-    TrialRecord,
-    property_trials,
-    random_chain,
-    stability_trials,
-)
-from .homology import (
-    Gf2Matrix,
-    TopologicalIndex,
-    boundary_matrix,
-    component_count,
-    conley_index_dims,
-    homology_dims,
-    homology_dims_by_components,
-    is_critical,
-    rank_gf2,
-    relative_boundary_matrix,
-    topological_index,
-)
+from .bottleneck import bottleneck_distance, bottleneck_matching
+from .cells import build_complex, format_cell
+from .dynamics import build_mgraph, morse_order, morse_sets
+from .harness import RandomChainSpec, property_trials, random_chain, stability_trials
+from .homology import topological_index
 from .markov import (
-    ROW_SUM_TOL,
-    MatrixDistance,
     MatrixError,
-    MatrixParseError,
-    MatrixValidationError,
     PerturbationSpec,
-    ThresholdGrid,
     TransitionMatrix,
-    matrix_distance,
     parse_matrix,
     perturb,
-    serialize_matrix,
     threshold_grid,
 )
-from .mvf import Multivector, MultivectorField, build_mvf, is_coarsening, is_valid_mvf
+from .mvf import build_mvf
 from .persistence import (
-    FiltrationResult,
     PersistenceDiagram,
-    PersistencePoint,
-    Stage,
-    Track,
     build_diagram,
-    containment_map,
     diagram_from_json,
     diagram_to_json,
     run_filtration,
@@ -77,70 +38,28 @@ from .svg import render_diagram_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BottleneckResult",
-    "Cell",
-    "CellSet",
-    "FiltrationResult",
-    "Gf2Matrix",
-    "MGraph",
-    "MatchPair",
-    "MatrixDistance",
     "MatrixError",
-    "MatrixParseError",
-    "MatrixValidationError",
-    "MorseOrder",
-    "MorseSet",
-    "Multivector",
-    "MultivectorField",
     "PersistenceDiagram",
-    "PersistencePoint",
     "PerturbationSpec",
-    "PropertyReport",
-    "ROW_SUM_TOL",
     "RandomChainSpec",
-    "StabilityReport",
-    "Stage",
-    "StateComplex",
-    "ThresholdGrid",
-    "TopologicalIndex",
-    "Track",
     "TransitionMatrix",
-    "TrialRecord",
     "bottleneck_distance",
     "bottleneck_matching",
-    "boundary_matrix",
     "build_complex",
     "build_diagram",
     "build_mgraph",
     "build_mvf",
-    "closure",
-    "component_count",
-    "conley_index_dims",
-    "containment_map",
     "diagram_from_json",
     "diagram_to_json",
     "format_cell",
-    "homology_dims",
-    "homology_dims_by_components",
-    "is_closed",
-    "is_coarsening",
-    "is_critical",
-    "is_locally_closed",
-    "is_valid_mvf",
-    "matrix_distance",
     "morse_order",
     "morse_sets",
-    "mouth",
     "parse_matrix",
     "perturb",
-    "pi_map",
     "property_trials",
     "random_chain",
-    "rank_gf2",
-    "relative_boundary_matrix",
     "render_diagram_svg",
     "run_filtration",
-    "serialize_matrix",
     "stability_trials",
     "threshold_grid",
     "topological_index",

@@ -71,7 +71,7 @@ def _parse_random_spec(text: str, seed: int) -> RandomChainSpec:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 def _cmd_thresholds(args) -> int:

@@ -1,8 +1,8 @@
 """Empirical stability and invariant harness over random chains.
 
 Random row-stochastic matrices probe two things: that the pipeline's
-structural invariants (partition validity, coarsening, containment, dual
-homology routes) hold on inputs nobody hand-picked, and that the bottleneck
+structural invariants (partition validity, coarsening, containment,
+diagram shape) hold on inputs nobody hand-picked, and that the bottleneck
 distance between a chain's diagram and a perturbed chain's diagram respects
 the proved bounds — d_B at most the measured entrywise matrix distance for a
 single compensated edit, and strictly below l * delta for l edits capped by
@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bottleneck import bottleneck_distance
-from .cells import closure
-from .homology import homology_dims, homology_dims_by_components
 from .markov import (
     PerturbationSpec,
     TransitionMatrix,
@@ -265,9 +263,8 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
 
     Per chain and stage: the field partitions the complex into locally
     closed parts; consecutive stages coarsen; Morse sets nest into exactly
-    one successor; homology via GF(2) rank agrees with the component-count
-    formulas; the diagram's immortal points equal the final stage's Morse
-    sets and every death exceeds its birth.
+    one successor; the diagram's immortal points equal the final stage's
+    Morse sets and every death exceeds its birth.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -276,7 +273,6 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
         "valid_field": 0,
         "coarsening": 0,
         "containment": 0,
-        "homology_dual_route": 0,
         "diagram_shape": 0,
     }
     failures = []
@@ -290,12 +286,6 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
                 checks["valid_field"] += 1
             else:
                 failures.append(f"{tag}: invalid field at gamma={stage.gamma}")
-            for m in stage.morse_sets:
-                cl = closure(F.complex, m.cells)
-                if homology_dims(F.complex, cl) == homology_dims_by_components(F.complex, cl):
-                    checks["homology_dual_route"] += 1
-                else:
-                    failures.append(f"{tag}: homology route mismatch at gamma={stage.gamma}")
         for prev, nxt in zip(F.stages, F.stages[1:]):
             if is_coarsening(nxt.field, prev.field):
                 checks["coarsening"] += 1

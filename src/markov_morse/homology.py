@@ -1,65 +1,26 @@
 """GF(2) cellular homology of cell sets, absolute and relative to the mouth.
 
-Over a 1-complex everything reduces to one boundary matrix per set: rows are
-vertices, columns are edges, and an entry is 1 when the vertex is an endpoint
-kept by the chosen chain group. For a closed set A this computes H0/H1 of A;
-for a locally closed set the relative variant drops endpoints lying in the
-mouth and computes H(cl A, mo A), whose dimensions form the Conley-style
-index. Each Betti computation is cross-checked against the component-count
-formulas for graphs, which need no linear algebra at all.
+On a 1-complex the boundary map sends each edge to its two endpoints, and
+over GF(2) its rank on a graph is |V| - #components. Every dimension below
+therefore comes from one union-find pass over the graph whose vertices are
+those of cl A and whose edges are A's edges:
+
+- for a closed set A, H0 is the number of components and H1 = |E| - |V| + H0;
+- for a locally closed set A, H(cl A, mo A) quotients the mouth vertices
+  away, so c0 counts the components without a mouth vertex and
+  c1 = |E| - |V_A| + c0. These dimensions form the Conley-style index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-import numpy as np
-
-from .cells import Cell, StateComplex, closure, is_closed, is_locally_closed, mouth
+from .cells import Cell, StateComplex, is_closed
 from .unionfind import DisjointSet
 
 if TYPE_CHECKING:
     from .dynamics import MorseSet
     from .mvf import Multivector
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Dense bit matrix over GF(2); rows are uint8 vectors of 0/1."""
-
-    rows: int
-    cols: int
-    bits: np.ndarray
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]], cols: int) -> "Gf2Matrix":
-        data = np.array([list(r) for r in rows], dtype=np.uint8).reshape(-1, cols)
-        return Gf2Matrix(data.shape[0], cols, data)
-
-
-def rank_gf2(M: Gf2Matrix) -> int:
-    """Rank via Gaussian elimination with XOR row updates."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    work = M.bits.copy()
-    rank = 0
-    for col in range(M.cols):
-        pivot = None
-        for r in range(rank, M.rows):
-            if work[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[[rank, pivot]] = work[[pivot, rank]]
-        for r in range(M.rows):
-            if r != rank and work[r, col]:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == M.rows:
-            break
-    return rank
 
 
 class TopologicalIndex(NamedTuple):
@@ -69,49 +30,31 @@ class TopologicalIndex(NamedTuple):
     c1: int
 
 
-def _split(A: Iterable[Cell]) -> tuple[list[Cell], list[Cell]]:
-    cells = sorted(A)
-    verts = [c for c in cells if c.is_vertex]
-    edges = [c for c in cells if c.is_edge]
-    return verts, edges
+class _Components(NamedTuple):
+    """Counts of the graph with cl A's vertices and A's edges."""
+
+    own_vertices: int  # |V_A|
+    closure_vertices: int  # |V_cl A|
+    edges: int  # |E_A|
+    components: int
+    mouthless: int  # components with no vertex in the mouth
 
 
-def boundary_matrix(A: Iterable[Cell]) -> Gf2Matrix:
-    """Vertex-by-edge incidence of the cells of A (endpoints inside A only)."""
-    verts, edges = _split(A)
-    row_of = {v: k for k, v in enumerate(verts)}
-    bits = np.zeros((len(verts), len(edges)), dtype=np.uint8)
-    for col, e in enumerate(edges):
-        for v in e.endpoints():
-            if v in row_of:
-                bits[row_of[v], col] ^= 1
-    return Gf2Matrix(len(verts), len(edges), bits)
-
-
-def component_count(A: Iterable[Cell]) -> int:
-    """Connected components of A's vertex set under A's edges.
-
-    Rank-free oracle: for a closed set this yields h0 directly and h1 by the
-    Euler formula |E| - |V| + components.
-    """
-    verts, edges = _split(A)
-    pos = {v: k for k, v in enumerate(verts)}
-    dsu = DisjointSet(len(verts))
-    for e in edges:
-        a, b = e.endpoints()
-        if a in pos and b in pos:
-            dsu.union(pos[a], pos[b])
-    return len(dsu.groups())
-
-
-def homology_dims_by_components(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
-    """(h0, h1) of a closed set via component counting only."""
-    cells = frozenset(A)
-    if not is_closed(X, cells):
-        raise ValueError("homology of a non-closed set is undefined here")
-    verts, edges = _split(cells)
-    comps = component_count(cells)
-    return comps, len(edges) - len(verts) + comps
+def _components(X: StateComplex, A: Iterable[Cell]) -> _Components:
+    own: set[int] = set()
+    ends: set[int] = set()
+    dsu = DisjointSet(X.n + 1)
+    edges = 0
+    for c in A:
+        if c.is_edge:
+            dsu.union(c.i, c.j)
+            ends.update((c.i, c.j))
+            edges += 1
+        else:
+            own.add(c.i)
+    roots = {dsu.find(i) for i in own | ends}
+    mouth_roots = {dsu.find(i) for i in ends - own}
+    return _Components(len(own), len(own | ends), edges, len(roots), len(roots) - len(mouth_roots))
 
 
 def homology_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
@@ -119,39 +62,27 @@ def homology_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
     cells = frozenset(A)
     if not is_closed(X, cells):
         raise ValueError("homology of a non-closed set is undefined here")
-    verts, edges = _split(cells)
-    r = rank_gf2(boundary_matrix(cells))
-    dims = (len(verts) - r, len(edges) - r)
-    assert dims == homology_dims_by_components(X, cells), "rank/component mismatch"
-    return dims
-
-
-def relative_boundary_matrix(A: Iterable[Cell]) -> Gf2Matrix:
-    """Boundary of (cl A, mo A): chains are A's own cells, endpoints outside A drop out."""
-    return boundary_matrix(A)
+    k = _components(X, cells)
+    return k.components, k.edges - k.own_vertices + k.components
 
 
 def conley_index_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
     """(c0, c1) = dims of H(cl A, mo A) over GF(2), for locally closed A.
 
-    Relative chain groups are generated by the cells of A itself; the
-    boundary keeps only endpoints lying in A, since mouth vertices are
-    quotiented away.
+    Every cell set of a 1-complex is locally closed: its mouth holds
+    vertices only.
     """
-    cells = frozenset(A)
-    if not is_locally_closed(X, cells):
-        raise ValueError("relative homology needs a locally closed set")
-    verts, edges = _split(cells)
-    r = rank_gf2(relative_boundary_matrix(cells))
-    return len(verts) - r, len(edges) - r
+    k = _components(X, frozenset(A))
+    return k.mouthless, k.edges - k.own_vertices + k.mouthless
 
 
 def topological_index(X: StateComplex, M: "MorseSet") -> TopologicalIndex:
     """The decoration attached to a Morse set: (h1 of cl M, c1 of (cl M, mo M))."""
-    cl = closure(X, M.cells)
-    _, h1 = homology_dims(X, cl)
-    _, c1 = conley_index_dims(X, M.cells)
-    return TopologicalIndex(h1, c1)
+    k = _components(X, M.cells)
+    return TopologicalIndex(
+        k.edges - k.closure_vertices + k.components,
+        k.edges - k.own_vertices + k.mouthless,
+    )
 
 
 def is_critical(X: StateComplex, V: "Multivector") -> bool:

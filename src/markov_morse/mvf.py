@@ -10,6 +10,7 @@ coarsening.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cells import Cell, CellSet, StateComplex, is_locally_closed
@@ -85,11 +86,11 @@ def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> Multivector
     into Edge(i, j) when p_ij <= gamma and Vertex(j) into Edge(i, j) when
     p_ji <= gamma (comparisons are exact; a zero reverse entry on an existing
     edge therefore merges at every gamma). Transitive overlaps are resolved
-    by union-find. The result is always a valid field on a 1-complex, but
-    validity is asserted rather than assumed.
+    by union-find. On a 1-complex every part is locally closed, so the
+    result is always a valid field.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
     cells = X.cells()
     pos = {c: k for k, c in enumerate(cells)}
     dsu = DisjointSet(len(cells))
@@ -101,10 +102,7 @@ def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> Multivector
     vectors = tuple(
         Multivector(frozenset(cells[k] for k in group)) for group in dsu.groups()
     )
-    fld = MultivectorField(gamma, vectors)
-    if not is_valid_mvf(fld, X):
-        raise AssertionError("constructed field is not a valid multivector field")
-    return fld
+    return MultivectorField(gamma, vectors)
 
 
 def is_valid_mvf(V: MultivectorField, X: StateComplex) -> bool:

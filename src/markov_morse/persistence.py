@@ -192,12 +192,33 @@ def diagram_to_json(D: PersistenceDiagram) -> str:
     return json.dumps({"grid": list(D.grid), "points": points})
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def diagram_from_json(text: str) -> PersistenceDiagram:
+    """Inverse of diagram_to_json; malformed input raises ValueError naming the bad field."""
     obj = json.loads(text)
-    grid = ThresholdGrid(tuple(float(v) for v in obj["grid"]))
+    grid, raw_points = obj.get("grid"), obj.get("points")
+    if not (isinstance(grid, list) and all(map(_is_number, grid))):
+        raise ValueError(f"grid must be a list of finite numbers, got {grid!r}")
+    if not isinstance(raw_points, list):
+        raise ValueError(f"points must be a list, got {raw_points!r}")
     points = []
-    for p in obj["points"]:
-        death = math.inf if p["death"] == "inf" else float(p["death"])
-        h1, c1 = p["index"]
-        points.append(PersistencePoint(float(p["birth"]), death, TopologicalIndex(int(h1), int(c1))))
-    return PersistenceDiagram(tuple(points), grid)
+    for k, p in enumerate(raw_points):
+        if not isinstance(p, dict):
+            raise ValueError(f"point {k}: expected an object, got {p!r}")
+        birth, death, index = p.get("birth"), p.get("death"), p.get("index")
+        if not _is_number(birth):
+            raise ValueError(f"point {k}: birth must be a finite number, got {birth!r}")
+        if death != "inf" and not _is_number(death):
+            raise ValueError(f'point {k}: death must be a finite number or "inf", got {death!r}')
+        if not (isinstance(index, list) and len(index) == 2 and all(map(_is_int, index))):
+            raise ValueError(f"point {k}: index must be a pair of ints, got {index!r}")
+        death = math.inf if death == "inf" else float(death)
+        points.append(PersistencePoint(float(birth), death, TopologicalIndex(*index)))
+    return PersistenceDiagram(tuple(points), ThresholdGrid(tuple(map(float, grid))))

@@ -12,30 +12,26 @@ from functools import lru_cache
 import pytest
 
 from markov_morse import (
-    Cell,
     PerturbationSpec,
     RandomChainSpec,
     bottleneck_distance,
     build_diagram,
     build_mvf,
-    closure,
-    conley_index_dims,
-    containment_map,
-    homology_dims,
-    homology_dims_by_components,
-    is_coarsening,
-    is_critical,
-    matrix_distance,
-    mouth,
     perturb,
     random_chain,
     run_filtration,
     stability_trials,
     threshold_grid,
+    topological_index,
 )
+from markov_morse.cells import Cell, closure, mouth
+from markov_morse.homology import conley_index_dims, homology_dims, is_critical
+from markov_morse.markov import TransitionMatrix, matrix_distance
+from markov_morse.mvf import is_coarsening
+from markov_morse.persistence import containment_map
 
 from conftest import WORKED_ROWS
-from markov_morse.markov import TransitionMatrix
+from gf2_oracle import betti_by_rank
 
 V = Cell.vertex
 E = Cell.edge
@@ -181,23 +177,32 @@ def test_criterion_4_coarsening_and_containment_on_random_chains():
 
 
 def test_criterion_5_homology_routes_agree_on_every_closed_set():
+    """The library's component counts against the GF(2) rank oracle."""
     stages = [(run_filtration(worked()).complex, run_filtration(worked()).stages)]
     stages += [(F.complex, F.stages) for _, F in random_filtrations()]
 
+    sets = 0
     compared = 0
-    disagreements = 0
+    mismatches = 0
     for X, stage_list in stages:
         for stage in stage_list:
             for m in stage.morse_sets:
-                for closed in (closure(X, m.cells), mouth(X, m.cells)):
-                    if homology_dims(X, closed) != homology_dims_by_components(X, closed):
-                        disagreements += 1
-                    compared += 1
-    assert disagreements == 0
-    assert compared > 1000
+                cl, mo = closure(X, m.cells), mouth(X, m.cells)
+                absolute, relative = betti_by_rank(cl), betti_by_rank(m.cells)
+                checks = [
+                    (homology_dims(X, cl), absolute),
+                    (homology_dims(X, mo), betti_by_rank(mo)),
+                    (conley_index_dims(X, m.cells), relative),
+                    (tuple(topological_index(X, m)), (absolute[1], relative[1])),
+                ]
+                mismatches += sum(1 for lib, oracle in checks if lib != oracle)
+                compared += len(checks)
+                sets += 1
+    assert mismatches == 0
+    assert sets > 1000
     print(
-        f"\n[criterion 5] PASS — rank and component counts agree on"
-        f" {compared} closed sets, 0 discrepancies"
+        f"\n[criterion 5] PASS — component counts agree with GF(2) rank on"
+        f" {sets} Morse sets ({compared} comparisons), 0 mismatches"
     )
 
 

@@ -8,19 +8,18 @@ import pytest
 
 from markov_morse import (
     PersistenceDiagram,
-    PersistencePoint,
     PerturbationSpec,
     RandomChainSpec,
-    ThresholdGrid,
-    TopologicalIndex,
     bottleneck_distance,
     bottleneck_matching,
     build_diagram,
-    matrix_distance,
     perturb,
     random_chain,
     run_filtration,
 )
+from markov_morse.homology import TopologicalIndex
+from markov_morse.markov import ThresholdGrid, matrix_distance
+from markov_morse.persistence import PersistencePoint
 
 INF = math.inf
 K00 = TopologicalIndex(0, 0)

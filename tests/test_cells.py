@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from markov_morse import (
-    Cell,
-    StateComplex,
-    TransitionMatrix,
-    build_complex,
-    closure,
-    format_cell,
-    is_closed,
-    is_locally_closed,
-    mouth,
-)
+from markov_morse import TransitionMatrix, build_complex, format_cell
+from markov_morse.cells import Cell, StateComplex, closure, is_closed, is_locally_closed, mouth
 
 V = Cell.vertex
 E = Cell.edge

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from markov_morse import StabilityReport
+from markov_morse.harness import StabilityReport
 from markov_morse.cli import main
 
 from conftest import WORKED_CSV
@@ -209,3 +209,19 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["mvf", "morse"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma(self, capsys, matrix_file, command, gamma):
+        code, out, err = run(capsys, command, matrix_file, "--gamma", gamma)
+        assert code == 2
+        assert out == ""
+        assert "gamma must be finite" in err
+
+    def test_malformed_diagram_json(self, capsys, matrix_file, tmp_path):
+        bad = tmp_path / "d.json"
+        bad.write_text('{"grid": [0.0], "points": [{"birth": 0.0, "death": "inf", "index": [0]}]}')
+        code, out, err = run(capsys, "bottleneck", matrix_file, str(bad))
+        assert code == 2
+        assert out == ""
+        assert "index must be a pair of ints" in err

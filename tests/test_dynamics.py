@@ -5,18 +5,17 @@ import random
 import pytest
 
 from markov_morse import (
-    Cell,
     RandomChainSpec,
     build_complex,
     build_mgraph,
     build_mvf,
     morse_order,
     morse_sets,
-    mouth,
-    pi_map,
     random_chain,
     threshold_grid,
 )
+from markov_morse.cells import Cell, mouth
+from markov_morse.dynamics import pi_map
 
 V = Cell.vertex
 E = Cell.edge

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from markov_morse import (
-    MatrixValidationError,
     RandomChainSpec,
     TransitionMatrix,
     bottleneck_distance,
     build_diagram,
-    matrix_distance,
     property_trials,
     random_chain,
     run_filtration,
     stability_trials,
     threshold_grid,
 )
+from markov_morse.markov import MatrixValidationError, matrix_distance
 
 
 class TestRandomChain:

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from markov_morse import (
+from markov_morse import PerturbationSpec, TransitionMatrix, parse_matrix, perturb, threshold_grid
+from markov_morse.markov import (
     MatrixParseError,
     MatrixValidationError,
-    PerturbationSpec,
     ThresholdGrid,
-    TransitionMatrix,
     matrix_distance,
-    parse_matrix,
-    perturb,
     serialize_matrix,
-    threshold_grid,
 )
 
 CSV_3STATE = """\

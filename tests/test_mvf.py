@@ -2,17 +2,9 @@
 
 import pytest
 
-from markov_morse import (
-    Cell,
-    Multivector,
-    MultivectorField,
-    TransitionMatrix,
-    build_complex,
-    build_mvf,
-    is_coarsening,
-    is_valid_mvf,
-    threshold_grid,
-)
+from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_grid
+from markov_morse.cells import Cell
+from markov_morse.mvf import Multivector, MultivectorField, is_coarsening, is_valid_mvf
 
 V = Cell.vertex
 E = Cell.edge
@@ -116,6 +108,11 @@ class TestValidity:
     def test_negative_gamma_rejected(self, worked_matrix, worked_complex):
         with pytest.raises(ValueError):
             build_mvf(worked_complex, worked_matrix, -0.1)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, worked_matrix, worked_complex, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            build_mvf(worked_complex, worked_matrix, gamma)
 
     def test_vector_of(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.15)

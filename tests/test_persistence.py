@@ -1,24 +1,24 @@
 """Filtration stages, containment tracking, and diagram extraction."""
 
+import json
 import math
 import random
 
 import pytest
 
 from markov_morse import (
-    Cell,
     PersistenceDiagram,
-    PersistencePoint,
-    ThresholdGrid,
-    TopologicalIndex,
     TransitionMatrix,
     build_diagram,
-    containment_map,
     diagram_from_json,
     diagram_to_json,
     run_filtration,
     threshold_grid,
 )
+from markov_morse.cells import Cell
+from markov_morse.homology import TopologicalIndex
+from markov_morse.markov import ThresholdGrid
+from markov_morse.persistence import PersistencePoint, containment_map
 
 V = Cell.vertex
 E = Cell.edge
@@ -254,6 +254,44 @@ class TestDiagramJson:
             for p in obj["points"]
         ]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def one_point(**fields):
+        point = {"birth": 0.0, "death": "inf", "index": [0, 0], **fields}
+        return json.dumps({"grid": [0.0], "points": [point]})
+
+    def test_well_formed_point_parses(self):
+        D = diagram_from_json(self.one_point())
+        assert D.points == (pt(0.0, INF, 0, 0),)
+
+    @pytest.mark.parametrize("index", [[0], [0, 0, 0], [0, 1.0], [0, "1"], [True, 0], None, 3])
+    def test_bad_index(self, index):
+        with pytest.raises(ValueError, match="point 0: index must be a pair of ints"):
+            diagram_from_json(self.one_point(index=index))
+
+    @pytest.mark.parametrize("birth", ["0.1", None, [0.1], True, float("nan"), float("inf")])
+    def test_bad_birth(self, birth):
+        with pytest.raises(ValueError, match="point 0: birth must be a finite number"):
+            diagram_from_json(self.one_point(birth=birth))
+
+    @pytest.mark.parametrize("death", ["0.5", "Infinity", None, [0.5], False, float("nan")])
+    def test_bad_death(self, death):
+        with pytest.raises(ValueError, match="point 0: death must be a finite number or \"inf\""):
+            diagram_from_json(self.one_point(death=death))
+
+    @pytest.mark.parametrize("grid", [None, 0.0, [[0.0]], ["0.0"], [0.0, float("nan")]])
+    def test_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="grid must be a list of finite numbers"):
+            diagram_from_json(json.dumps({"grid": grid, "points": []}))
+
+    @pytest.mark.parametrize("points", [None, 5, {"birth": 0.0}])
+    def test_bad_points(self, points):
+        with pytest.raises(ValueError, match="points must be a list"):
+            diagram_from_json(json.dumps({"grid": [0.0], "points": points}))
+
+    def test_point_not_an_object(self):
+        with pytest.raises(ValueError, match="point 0: expected an object"):
+            diagram_from_json('{"grid": [0.0], "points": [[0.0, "inf", [0, 0]]]}')
 
     def test_constructor_canonicalizes_order(self):
         rng = random.Random(0)
