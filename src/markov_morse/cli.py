@@ -88,7 +88,7 @@ def _cmd_mvf(args) -> int:
         {
             "gamma": args.gamma,
             "multivectors": [
-                [format_cell(c, P.states) for c in sorted(v.cells)] for v in fld.multivectors
+                [format_cell(X, c, P.states) for c in sorted(v.cells)] for v in fld.multivectors
             ],
         }
     )
@@ -107,14 +107,14 @@ def _cmd_morse(args) -> int:
             "gamma": args.gamma,
             "morse_sets": [
                 {
-                    "label": format_cell(m.label, P.states),
-                    "cells": [format_cell(c, P.states) for c in sorted(m.cells)],
+                    "label": format_cell(X, m.label, P.states),
+                    "cells": [format_cell(X, c, P.states) for c in sorted(m.cells)],
                     "index": list(topological_index(X, m)),
                 }
                 for m in sets
             ],
             "order": [
-                [format_cell(a, P.states), format_cell(b, P.states)] for a, b in order.pairs()
+                [format_cell(X, a, P.states), format_cell(X, b, P.states)] for a, b in order.pairs()
             ],
         }
     )

@@ -13,27 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import Cell, CellSet, StateComplex, closure, mouth
+from .cells import StateComplex, closure, mouth
 from .mvf import MultivectorField
 
 
-def pi_map(V: MultivectorField, x: Cell) -> CellSet:
+def pi_map(V: MultivectorField, X: StateComplex, x: int) -> frozenset[int]:
     """The multivalued map value at x: [x] union cl{x}."""
-    vec = V.vector_of(x)
-    if x.is_edge:
-        return vec.cells | frozenset(x.endpoints()) | {x}
-    return vec.cells | {x}
+    return V.vector_of(x).cells | closure(X, (x,))
 
 
 @dataclass(frozen=True)
 class MGraph:
     """Digraph on multivector labels; arcs include all self-loops."""
 
-    nodes: tuple[Cell, ...]
-    arcs: frozenset[tuple[Cell, Cell]]
+    nodes: tuple[int, ...]
+    arcs: frozenset[tuple[int, int]]
 
-    def successors(self) -> dict[Cell, list[Cell]]:
-        adj: dict[Cell, list[Cell]] = {u: [] for u in self.nodes}
+    def successors(self) -> dict[int, list[int]]:
+        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
         for u, w in sorted(self.arcs):
             adj[u].append(w)
         return adj
@@ -53,18 +50,18 @@ def build_mgraph(V: MultivectorField, X: StateComplex) -> MGraph:
 class MorseSet:
     """Union of the multivectors in one SCC of the M-graph."""
 
-    label: Cell
-    cells: CellSet
-    members: tuple[Cell, ...]  # labels of the member multivectors, sorted
+    label: int
+    cells: frozenset[int]
+    members: tuple[int, ...]  # labels of the member multivectors, sorted
 
 
-def _tarjan_scc(nodes: tuple[Cell, ...], adj: dict[Cell, list[Cell]]) -> list[list[Cell]]:
+def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[int]]:
     """Iterative Tarjan; returns SCCs as lists of nodes."""
-    index: dict[Cell, int] = {}
-    low: dict[Cell, int] = {}
-    on_stack: set[Cell] = set()
-    stack: list[Cell] = []
-    sccs: list[list[Cell]] = []
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     counter = 0
     for root in nodes:
         if root in index:
@@ -129,23 +126,23 @@ class MorseOrder:
     relations holds the strict pairs (above, below); ge() adds reflexivity.
     """
 
-    labels: tuple[Cell, ...]
-    relations: frozenset[tuple[Cell, Cell]]
+    labels: tuple[int, ...]
+    relations: frozenset[tuple[int, int]]
 
-    def ge(self, above: Cell, below: Cell) -> bool:
+    def ge(self, above: int, below: int) -> bool:
         return above == below or (above, below) in self.relations
 
-    def pairs(self) -> list[tuple[Cell, Cell]]:
+    def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.relations)
 
 
 def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
     """Condense the M-graph and take transitive reachability between SCCs."""
-    set_of: dict[Cell, Cell] = {}
+    set_of: dict[int, int] = {}
     for m in sets:
         for member in m.members:
             set_of[member] = m.label
-    dag: dict[Cell, set[Cell]] = {m.label: set() for m in sets}
+    dag: dict[int, set[int]] = {m.label: set() for m in sets}
     for u, w in G.arcs:
         su, sw = set_of[u], set_of[w]
         if su != sw:
@@ -165,9 +162,9 @@ def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
             indegree[w] -= 1
             if indegree[w] == 0:
                 queue.append(w)
-    reach: dict[Cell, set[Cell]] = {}
+    reach: dict[int, set[int]] = {}
     for u in reversed(topo):
-        acc: set[Cell] = set()
+        acc: set[int] = set()
         for w in dag[u]:
             acc.add(w)
             acc |= reach[w]

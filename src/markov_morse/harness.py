@@ -172,6 +172,8 @@ def stability_trials(
         raise ValueError("need at least one trial")
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
+    if not (math.isfinite(delta_cap) and delta_cap > 0):
+        raise ValueError(f"delta_cap must be finite and > 0, got {delta_cap!r}")
     fixed = isinstance(source, TransitionMatrix)
     if seed is None:
         seed = 0 if fixed else source.seed

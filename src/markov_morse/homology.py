@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .cells import Cell, StateComplex, is_closed
+from .cells import StateComplex, is_closed
 from .unionfind import DisjointSet
 
 if TYPE_CHECKING:
@@ -40,24 +40,25 @@ class _Components(NamedTuple):
     mouthless: int  # components with no vertex in the mouth
 
 
-def _components(X: StateComplex, A: Iterable[Cell]) -> _Components:
+def _components(X: StateComplex, A: Iterable[int]) -> _Components:
     own: set[int] = set()
     ends: set[int] = set()
-    dsu = DisjointSet(X.n + 1)
+    dsu = DisjointSet(X.n)
     edges = 0
     for c in A:
-        if c.is_edge:
-            dsu.union(c.i, c.j)
-            ends.update((c.i, c.j))
+        if X.is_edge(c):
+            i, j = X.endpoints(c)
+            dsu.union(i, j)
+            ends.update((i, j))
             edges += 1
         else:
-            own.add(c.i)
+            own.add(c)
     roots = {dsu.find(i) for i in own | ends}
     mouth_roots = {dsu.find(i) for i in ends - own}
     return _Components(len(own), len(own | ends), edges, len(roots), len(roots) - len(mouth_roots))
 
 
-def homology_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
+def homology_dims(X: StateComplex, A: Iterable[int]) -> tuple[int, int]:
     """(dim H0, dim H1) over GF(2) of a closed set A."""
     cells = frozenset(A)
     if not is_closed(X, cells):
@@ -66,7 +67,7 @@ def homology_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
     return k.components, k.edges - k.own_vertices + k.components
 
 
-def conley_index_dims(X: StateComplex, A: Iterable[Cell]) -> tuple[int, int]:
+def conley_index_dims(X: StateComplex, A: Iterable[int]) -> tuple[int, int]:
     """(c0, c1) = dims of H(cl A, mo A) over GF(2), for locally closed A.
 
     Every cell set of a 1-complex is locally closed: its mouth holds

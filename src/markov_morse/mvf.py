@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .cells import Cell, CellSet, StateComplex, is_locally_closed
+from .cells import StateComplex, is_locally_closed
 from .markov import TransitionMatrix
 from .unionfind import DisjointSet
 
@@ -22,17 +22,17 @@ from .unionfind import DisjointSet
 class Multivector:
     """One locally closed group of cells; labelled by its minimal cell."""
 
-    cells: CellSet
+    cells: frozenset[int]
 
     def __post_init__(self):
         if not self.cells:
             raise ValueError("multivector must be non-empty")
 
     @property
-    def label(self) -> Cell:
+    def label(self) -> int:
         return min(self.cells)
 
-    def __contains__(self, cell: Cell) -> bool:
+    def __contains__(self, cell: int) -> bool:
         return cell in self.cells
 
     def __len__(self) -> int:
@@ -52,12 +52,12 @@ class MultivectorField:
 
     gamma: float
     multivectors: tuple[Multivector, ...]
-    _owner: dict[Cell, int] = field(init=False, repr=False, compare=False, hash=False)
+    _owner: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.multivectors, key=lambda v: v.label))
         object.__setattr__(self, "multivectors", ordered)
-        owner: dict[Cell, int] = {}
+        owner: dict[int, int] = {}
         for k, v in enumerate(ordered):
             for c in v.cells:
                 if c in owner:
@@ -65,14 +65,14 @@ class MultivectorField:
                 owner[c] = k
         object.__setattr__(self, "_owner", owner)
 
-    def vector_of(self, cell: Cell) -> Multivector:
+    def vector_of(self, cell: int) -> Multivector:
         """The multivector [cell] containing the given cell."""
         try:
             return self.multivectors[self._owner[cell]]
         except KeyError:
             raise KeyError(f"cell {cell} is not in this field") from None
 
-    def cell_set(self) -> CellSet:
+    def cell_set(self) -> frozenset[int]:
         return frozenset(self._owner)
 
     def __len__(self) -> int:
@@ -82,8 +82,8 @@ class MultivectorField:
 def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> MultivectorField:
     """Partition X's cells at threshold gamma.
 
-    Start from singletons; for each edge {i, j} with i < j, merge Vertex(i)
-    into Edge(i, j) when p_ij <= gamma and Vertex(j) into Edge(i, j) when
+    Start from singletons; for each edge {i, j} with i < j, merge vertex i
+    into the edge when p_ij <= gamma and vertex j into the edge when
     p_ji <= gamma (comparisons are exact; a zero reverse entry on an existing
     edge therefore merges at every gamma). Transitive overlaps are resolved
     by union-find. On a 1-complex every part is locally closed, so the
@@ -91,17 +91,13 @@ def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> Multivector
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-    cells = X.cells()
-    pos = {c: k for k, c in enumerate(cells)}
-    dsu = DisjointSet(len(cells))
-    for e in sorted(X.edges):
-        if P.prob(e.i, e.j) <= gamma:
-            dsu.union(pos[Cell.vertex(e.i)], pos[e])
-        if P.prob(e.j, e.i) <= gamma:
-            dsu.union(pos[Cell.vertex(e.j)], pos[e])
-    vectors = tuple(
-        Multivector(frozenset(cells[k] for k in group)) for group in dsu.groups()
-    )
+    dsu = DisjointSet(X.cell_count)
+    for e, (i, j) in enumerate(X.edges, start=X.n):
+        if P.prob(i, j) <= gamma:
+            dsu.union(X.vertex(i), e)
+        if P.prob(j, i) <= gamma:
+            dsu.union(X.vertex(j), e)
+    vectors = tuple(Multivector(frozenset(group)) for group in dsu.groups())
     return MultivectorField(gamma, vectors)
 
 

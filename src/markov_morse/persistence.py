@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .cells import Cell, StateComplex, build_complex
+from .cells import StateComplex, build_complex
 from .dynamics import MorseSet, build_mgraph, morse_sets
 from .homology import TopologicalIndex, topological_index
 from .markov import ThresholdGrid, TransitionMatrix, threshold_grid
@@ -29,7 +29,7 @@ class Stage:
     gamma: float
     field: MultivectorField
     morse_sets: tuple[MorseSet, ...]
-    index_of: dict[Cell, TopologicalIndex] = field(compare=False)
+    index_of: dict[int, TopologicalIndex] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,17 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     return FiltrationResult(grid, X, tuple(stages))
 
 
-def containment_map(prev: Stage, nxt: Stage) -> dict[Cell, Cell]:
+def containment_map(prev: Stage, nxt: Stage) -> dict[int, int]:
     """Label of the next-stage Morse set containing each previous Morse set.
 
     Totality is a theorem of the construction; a previous set straddling two
     next sets signals an implementation bug and raises.
     """
-    owner: dict[Cell, Cell] = {}
+    owner: dict[int, int] = {}
     for m in nxt.morse_sets:
         for c in m.cells:
             owner[c] = m.label
-    result: dict[Cell, Cell] = {}
+    result: dict[int, int] = {}
     for m in prev.morse_sets:
         targets = {owner[c] for c in m.cells}
         if len(targets) != 1:
@@ -79,8 +79,8 @@ class Track:
     """A living Morse-set lineage during diagram extraction."""
 
     birth: float
-    label: Cell  # label of the currently containing Morse set
-    birth_label: Cell  # label of the Morse set at birth; tie-break key
+    label: int  # label of the currently containing Morse set
+    birth_label: int  # label of the Morse set at birth; tie-break key
     index: TopologicalIndex
     alive: bool = True
 
@@ -152,7 +152,7 @@ def build_diagram(F: FiltrationResult) -> PersistenceDiagram:
     ]
     for prev, stage in zip(F.stages, F.stages[1:]):
         cmap = containment_map(prev, stage)
-        groups: dict[Cell, list[Track]] = {m.label: [] for m in stage.morse_sets}
+        groups: dict[int, list[Track]] = {m.label: [] for m in stage.morse_sets}
         for t in tracks:
             t.label = cmap[t.label]
             groups[t.label].append(t)
@@ -203,6 +203,8 @@ def _is_int(value) -> bool:
 def diagram_from_json(text: str) -> PersistenceDiagram:
     """Inverse of diagram_to_json; malformed input raises ValueError naming the bad field."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"diagram must be an object, got {obj!r}")
     grid, raw_points = obj.get("grid"), obj.get("points")
     if not (isinstance(grid, list) and all(map(_is_number, grid))):
         raise ValueError(f"grid must be a list of finite numbers, got {grid!r}")

@@ -1,4 +1,8 @@
-"""Shared fixtures: the 3-state worked chain used across the suite."""
+"""Shared fixtures: the 3-state worked chain used across the suite.
+
+Cells are ints numbered per complex; `WORKED_COMPLEX.vertex` and
+`WORKED_COMPLEX.edge` name the worked chain's cells by state indices.
+"""
 
 import pytest
 
@@ -16,6 +20,8 @@ WORKED_CSV = """\
 0.17,0.6,0.23
 0.15,0.15,0.7
 """
+
+WORKED_COMPLEX = build_complex(TransitionMatrix(WORKED_ROWS))
 
 
 @pytest.fixture

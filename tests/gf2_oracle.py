@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from markov_morse.cells import Cell
+from markov_morse.cells import StateComplex
 
 
 @dataclass(frozen=True)
@@ -57,31 +57,31 @@ def rank_gf2(M: Gf2Matrix) -> int:
     return rank
 
 
-def _split(A: Iterable[Cell]) -> tuple[list[Cell], list[Cell]]:
+def _split(X: StateComplex, A: Iterable[int]) -> tuple[list[int], list[int]]:
     cells = sorted(A)
-    verts = [c for c in cells if c.is_vertex]
-    edges = [c for c in cells if c.is_edge]
+    verts = [c for c in cells if not X.is_edge(c)]
+    edges = [c for c in cells if X.is_edge(c)]
     return verts, edges
 
 
-def boundary_matrix(A: Iterable[Cell]) -> Gf2Matrix:
+def boundary_matrix(X: StateComplex, A: Iterable[int]) -> Gf2Matrix:
     """Vertex-by-edge incidence of the cells of A (endpoints inside A only)."""
-    verts, edges = _split(A)
+    verts, edges = _split(X, A)
     row_of = {v: k for k, v in enumerate(verts)}
     bits = np.zeros((len(verts), len(edges)), dtype=np.uint8)
     for col, e in enumerate(edges):
-        for v in e.endpoints():
+        for v in X.endpoints(e):
             if v in row_of:
                 bits[row_of[v], col] ^= 1
     return Gf2Matrix(len(verts), len(edges), bits)
 
 
-def betti_by_rank(A: Iterable[Cell]) -> tuple[int, int]:
+def betti_by_rank(X: StateComplex, A: Iterable[int]) -> tuple[int, int]:
     """(dim C0 - rank, dim C1 - rank) of A's boundary matrix.
 
     H0/H1 of A when A is closed; dims of H(cl A, mo A) in general.
     """
     cells = frozenset(A)
-    verts, edges = _split(cells)
-    r = rank_gf2(boundary_matrix(cells))
+    verts, edges = _split(X, cells)
+    r = rank_gf2(boundary_matrix(X, cells))
     return len(verts) - r, len(edges) - r

@@ -24,17 +24,16 @@ from markov_morse import (
     threshold_grid,
     topological_index,
 )
-from markov_morse.cells import Cell, closure, mouth
+from markov_morse.cells import closure, mouth
 from markov_morse.homology import conley_index_dims, homology_dims, is_critical
 from markov_morse.markov import TransitionMatrix, matrix_distance
 from markov_morse.mvf import is_coarsening
 from markov_morse.persistence import containment_map
 
-from conftest import WORKED_ROWS
+from conftest import WORKED_COMPLEX, WORKED_ROWS
 from gf2_oracle import betti_by_rank
 
-V = Cell.vertex
-E = Cell.edge
+V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 INF = math.inf
 
 
@@ -188,10 +187,10 @@ def test_criterion_5_homology_routes_agree_on_every_closed_set():
         for stage in stage_list:
             for m in stage.morse_sets:
                 cl, mo = closure(X, m.cells), mouth(X, m.cells)
-                absolute, relative = betti_by_rank(cl), betti_by_rank(m.cells)
+                absolute, relative = betti_by_rank(X, cl), betti_by_rank(X, m.cells)
                 checks = [
                     (homology_dims(X, cl), absolute),
-                    (homology_dims(X, mo), betti_by_rank(mo)),
+                    (homology_dims(X, mo), betti_by_rank(X, mo)),
                     (conley_index_dims(X, m.cells), relative),
                     (tuple(topological_index(X, m)), (absolute[1], relative[1])),
                 ]
@@ -333,7 +332,7 @@ def test_criterion_9_criticality_semantics_everywhere():
                 assert is_critical(X, v)
                 singletons += 1
             elif len(v.cells) == 2:
-                assert sorted(c.dim for c in v.cells) == [0, 1]
+                assert sorted(map(X.is_edge, v.cells)) == [False, True]
                 assert dims == (0, 0)
                 assert not is_critical(X, v)
                 arrows += 1

@@ -5,10 +5,13 @@ import random
 import pytest
 
 from markov_morse import TransitionMatrix, build_complex, format_cell
-from markov_morse.cells import Cell, StateComplex, closure, is_closed, is_locally_closed, mouth
+from markov_morse.cells import StateComplex, closure, is_closed, is_locally_closed, mouth
 
-V = Cell.vertex
-E = Cell.edge
+from conftest import WORKED_COMPLEX
+
+V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
+
+X17 = StateComplex(17, ((1, 2), (1, 3), (2, 3), (2, 4)))
 
 
 @pytest.fixture
@@ -17,46 +20,57 @@ def X3(worked_complex):
 
 
 class TestCellOrder:
+    """Cell ids are dense ints whose order is the canonical cell order."""
+
     def test_vertices_before_edges(self):
-        assert V(9) < E(1, 2)
+        assert X17.vertex(17) < X17.edge(1, 2)
+        assert [X17.is_edge(c) for c in X17.cells()] == [False] * 17 + [True] * 4
 
     def test_vertices_by_index(self):
-        assert V(1) < V(2) < V(17)
+        assert X17.vertex(1) < X17.vertex(2) < X17.vertex(17)
+        assert [X17.vertex(i) for i in range(1, 18)] == list(range(17))
 
     def test_edges_lexicographic(self):
-        assert E(1, 2) < E(1, 3) < E(2, 3) < E(2, 4)
+        ids = [X17.edge(1, 2), X17.edge(1, 3), X17.edge(2, 3), X17.edge(2, 4)]
+        assert ids == [17, 18, 19, 20] == list(X17.cells()[17:])
 
     def test_edge_endpoints_normalized(self):
-        assert E(3, 1) == E(1, 3)
-        assert E(3, 1).endpoints() == (V(1), V(3))
+        assert X17.edge(3, 1) == X17.edge(1, 3)
+        assert X17.endpoints(X17.edge(3, 1)) == (X17.vertex(1), X17.vertex(3))
+        with pytest.raises(ValueError):
+            X17.endpoints(X17.vertex(3))
 
     def test_degenerate_edge_rejected(self):
         with pytest.raises(ValueError):
-            E(2, 2)
+            X17.edge(2, 2)
+        with pytest.raises(ValueError):
+            X17.edge(3, 4)  # absent from the complex
+        with pytest.raises(ValueError):
+            X17.vertex(18)
 
     def test_formatting_uses_labels(self):
         states = ("N1", "N2", "N3")
-        assert format_cell(V(2), states) == "N2"
-        assert format_cell(E(1, 3), states) == "N1-N3"
+        assert format_cell(WORKED_COMPLEX, V(2), states) == "N2"
+        assert format_cell(WORKED_COMPLEX, E(3, 1), states) == "N1-N3"
 
 
 class TestBuildComplex:
     def test_worked_example_has_all_edges(self, X3):
         assert X3.n == 3
-        assert X3.edges == frozenset({E(1, 2), E(1, 3), E(2, 3)})
-        assert X3.cells() == [V(1), V(2), V(3), E(1, 2), E(1, 3), E(2, 3)]
+        assert X3.edges == ((1, 2), (1, 3), (2, 3))
+        assert list(X3.cells()) == [V(1), V(2), V(3), E(1, 2), E(1, 3), E(2, 3)]
 
     def test_identity_chain_has_no_edges(self):
         import numpy as np
 
         X = build_complex(TransitionMatrix(np.eye(3)))
-        assert X.edges == frozenset()
+        assert X.edges == ()
         assert X.cell_count == 3
 
     def test_one_directional_transition_still_makes_an_edge(self):
         P = TransitionMatrix([[0.0, 1.0], [0.0, 1.0]])
         X = build_complex(P)
-        assert X.edges == frozenset({E(1, 2)})
+        assert X.edges == ((1, 2),)
 
     def test_zero_pair_makes_no_edge(self):
         # no mass in either direction between states 2 and 3
@@ -64,16 +78,21 @@ class TestBuildComplex:
             [[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
         )
         X = build_complex(P)
-        assert X.edges == frozenset({E(1, 2), E(1, 3)})
+        assert X.edges == ((1, 2), (1, 3))
 
     def test_membership(self, X3):
         assert V(2) in X3
         assert E(1, 3) in X3
-        assert V(4) not in X3
+        assert X3.cell_count not in X3
+        assert -1 not in X3
 
     def test_invalid_edge_in_constructor(self):
         with pytest.raises(ValueError):
-            StateComplex(2, frozenset({E(1, 3)}))
+            StateComplex(2, ((1, 3),))
+        with pytest.raises(ValueError):
+            StateComplex(3, ((1, 2), (1, 2)))
+        with pytest.raises(ValueError):
+            StateComplex(3, ((1, 3), (1, 2)))
 
 
 class TestClosureMouth:
@@ -105,9 +124,9 @@ class TestClosureMouth:
 
     def test_foreign_cell_rejected(self, X3):
         with pytest.raises(ValueError):
-            closure(X3, {V(7)})
+            closure(X3, {7})
         with pytest.raises(ValueError):
-            mouth(X3, {E(1, 4)})
+            mouth(X3, {X3.cell_count})
 
 
 class TestClosureProperties:
@@ -144,5 +163,5 @@ class TestClosureProperties:
     def test_mouth_has_no_edges_in_a_1_complex(self):
         for _ in range(200):
             A = self.random_subset()
-            assert all(c.is_vertex for c in mouth(self.X, A))
+            assert not any(map(self.X.is_edge, mouth(self.X, A)))
             assert is_locally_closed(self.X, A)

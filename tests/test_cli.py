@@ -218,6 +218,13 @@ class TestExitCodes:
         assert out == ""
         assert "gamma must be finite" in err
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1", "0"])
+    def test_bad_stability_delta(self, capsys, matrix_file, delta):
+        code, out, err = run(capsys, "stability", matrix_file, "--trials", "1", "--delta", delta)
+        assert code == 2
+        assert out == ""
+        assert "delta_cap must be finite and > 0" in err
+
     def test_malformed_diagram_json(self, capsys, matrix_file, tmp_path):
         bad = tmp_path / "d.json"
         bad.write_text('{"grid": [0.0], "points": [{"birth": 0.0, "death": "inf", "index": [0]}]}')

@@ -14,11 +14,12 @@ from markov_morse import (
     random_chain,
     threshold_grid,
 )
-from markov_morse.cells import Cell, mouth
+from markov_morse.cells import mouth
 from markov_morse.dynamics import pi_map
 
-V = Cell.vertex
-E = Cell.edge
+from conftest import WORKED_COMPLEX
+
+V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 @pytest.fixture
@@ -32,24 +33,24 @@ def field_at(worked_matrix, worked_complex):
 class TestPiMap:
     def test_vertex_in_singleton(self, field_at):
         fld = field_at(0.0)
-        assert pi_map(fld, V(1)) == {V(1)}
+        assert pi_map(fld, WORKED_COMPLEX, V(1)) == {V(1)}
 
     def test_edge_in_singleton_adds_closure(self, field_at):
         fld = field_at(0.0)
-        assert pi_map(fld, E(1, 2)) == {E(1, 2), V(1), V(2)}
+        assert pi_map(fld, WORKED_COMPLEX, E(1, 2)) == {E(1, 2), V(1), V(2)}
 
     def test_cell_in_larger_vector(self, field_at):
         fld = field_at(0.15)
         # [E1-3] is {V3, E1-3, E2-3}; closure of the edge adds V1
-        assert pi_map(fld, E(1, 3)) == {V(3), E(1, 3), E(2, 3), V(1)}
+        assert pi_map(fld, WORKED_COMPLEX, E(1, 3)) == {V(3), E(1, 3), E(2, 3), V(1)}
 
     def test_vertex_of_larger_vector(self, field_at):
         fld = field_at(0.15)
-        assert pi_map(fld, V(3)) == {V(3), E(1, 3), E(2, 3)}
+        assert pi_map(fld, WORKED_COMPLEX, V(3)) == {V(3), E(1, 3), E(2, 3)}
 
     def test_unknown_cell(self, field_at):
         with pytest.raises(KeyError):
-            pi_map(field_at(0.0), V(9))
+            pi_map(field_at(0.0), WORKED_COMPLEX, WORKED_COMPLEX.cell_count)
 
 
 class TestMGraph:
@@ -92,7 +93,7 @@ class TestMGraph:
                     if vec.label == other.label:
                         continue
                     expected = any(
-                        pi_map(fld, x) & other.cells for x in vec.cells
+                        pi_map(fld, worked_complex, x) & other.cells for x in vec.cells
                     )
                     assert ((vec.label, other.label) in G.arcs) == expected
 

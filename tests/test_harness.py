@@ -93,6 +93,11 @@ class TestStabilityTrials:
         with pytest.raises(ValueError):
             stability_trials(RandomChainSpec(n=3, seed=0), 0)
 
+    @pytest.mark.parametrize("delta_cap", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_delta_cap_validation(self, worked_matrix, delta_cap):
+        with pytest.raises(ValueError, match="delta_cap must be finite and > 0"):
+            stability_trials(worked_matrix, 1, delta_cap=delta_cap)
+
 
 class TestExactTies:
     """Collisions are excluded from sampling; the pipeline itself must not care."""

@@ -3,11 +3,11 @@
 import pytest
 
 from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_grid
-from markov_morse.cells import Cell
 from markov_morse.mvf import Multivector, MultivectorField, is_coarsening, is_valid_mvf
 
-V = Cell.vertex
-E = Cell.edge
+from conftest import WORKED_COMPLEX
+
+V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 def partition(field):
@@ -78,7 +78,7 @@ class TestZeroEntries:
         P = TransitionMatrix([[0.0, 1.0], [0.0, 1.0]])
         X = build_complex(P)
         fld = build_mvf(X, P, 0.0)
-        assert partition(fld) == {frozenset({V(1)}), frozenset({V(2), E(1, 2)})}
+        assert partition(fld) == {frozenset({X.vertex(1)}), frozenset({X.vertex(2), X.edge(1, 2)})}
 
     def test_absent_edge_never_merges(self):
         P = TransitionMatrix([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
@@ -118,7 +118,7 @@ class TestValidity:
         fld = build_mvf(worked_complex, worked_matrix, 0.15)
         assert fld.vector_of(E(2, 3)).label == V(3)
         with pytest.raises(KeyError):
-            fld.vector_of(V(9))
+            fld.vector_of(worked_complex.cell_count)
 
 
 class TestCoarsening:

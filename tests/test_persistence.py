@@ -15,13 +15,13 @@ from markov_morse import (
     run_filtration,
     threshold_grid,
 )
-from markov_morse.cells import Cell
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid
 from markov_morse.persistence import PersistencePoint, containment_map
 
-V = Cell.vertex
-E = Cell.edge
+from conftest import WORKED_COMPLEX
+
+V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 INF = math.inf
 
 
@@ -288,6 +288,11 @@ class TestDiagramJson:
     def test_bad_points(self, points):
         with pytest.raises(ValueError, match="points must be a list"):
             diagram_from_json(json.dumps({"grid": [0.0], "points": points}))
+
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+    def test_diagram_not_an_object(self, text):
+        with pytest.raises(ValueError, match="diagram must be an object"):
+            diagram_from_json(text)
 
     def test_point_not_an_object(self):
         with pytest.raises(ValueError, match="point 0: expected an object"):
