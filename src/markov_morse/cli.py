@@ -88,7 +88,7 @@ def _cmd_mvf(args) -> int:
         {
             "gamma": args.gamma,
             "multivectors": [
-                [format_cell(X, c, P.states) for c in sorted(v.cells)] for v in fld.multivectors
+                [format_cell(X, c, P.states) for c in sorted(v)] for v in fld.multivectors
             ],
         }
     )
@@ -138,15 +138,6 @@ def _cmd_bottleneck(args) -> int:
     ids1 = {p: f"a{k}" for k, p in enumerate(D1.points)}
     ids2 = {p: f"b{k}" for k, p in enumerate(D2.points)}
 
-    def point_obj(p):
-        if p is None:
-            return None
-        return {
-            "birth": p.birth,
-            "death": "inf" if math.isinf(p.death) else p.death,
-            "index": [p.index.h1, p.index.c1],
-        }
-
     matching = None
     if not math.isinf(result.distance):
         matching = [
@@ -155,8 +146,8 @@ def _cmd_bottleneck(args) -> int:
                     ids1[m.left] if m.left is not None else "diag",
                     ids2[m.right] if m.right is not None else "diag",
                 ],
-                "a": point_obj(m.left),
-                "b": point_obj(m.right),
+                "a": m.left.as_dict() if m.left is not None else None,
+                "b": m.right.as_dict() if m.right is not None else None,
                 "cost": m.cost,
             }
             for m in result.pairs

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import StateComplex, closure, mouth
+from .cells import StateComplex, closure
 from .mvf import MultivectorField
 
 
 def pi_map(V: MultivectorField, X: StateComplex, x: int) -> frozenset[int]:
     """The multivalued map value at x: [x] union cl{x}."""
-    return V.vector_of(x).cells | closure(X, (x,))
+    return V.vector_of(x) | closure(X, (x,))
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,22 @@ class MGraph:
     nodes: tuple[int, ...]
     arcs: frozenset[tuple[int, int]]
 
-    def successors(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {u: [] for u in self.nodes}
-        for u, w in sorted(self.arcs):
-            adj[u].append(w)
-        return adj
-
 
 def build_mgraph(V: MultivectorField, X: StateComplex) -> MGraph:
-    """Arc V -> W (V != W) iff W intersects mouth(V); self-loops everywhere."""
-    nodes = tuple(v.label for v in V.multivectors)
+    """Arc V -> W (V != W) iff W intersects mouth(V); self-loops everywhere.
+
+    On a 1-complex a vertex has no proper faces, so the mouth of V is the
+    set of endpoints of V's edges that lie outside V. One pass over the
+    edges therefore finds every arc: edge e and its endpoint v give the arc
+    [e] -> [v], which is a self-loop exactly when v lies in e's multivector.
+    """
+    label_of = V.label_of
+    nodes = tuple(min(v) for v in V.multivectors)
     arcs = {(u, u) for u in nodes}
-    for vec in V.multivectors:
-        for c in mouth(X, vec.cells):
-            arcs.add((vec.label, V.vector_of(c).label))
+    for e, (i, j) in enumerate(X.edges, start=X.n):  # states i, j are cells i - 1, j - 1
+        u = label_of[e]
+        arcs.add((u, label_of[i - 1]))
+        arcs.add((u, label_of[j - 1]))
     return MGraph(nodes, frozenset(arcs))
 
 
@@ -52,7 +54,6 @@ class MorseSet:
 
     label: int
     cells: frozenset[int]
-    members: tuple[int, ...]  # labels of the member multivectors, sorted
 
 
 def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[int]]:
@@ -109,13 +110,14 @@ def morse_sets(G: MGraph, V: MultivectorField) -> tuple[MorseSet, ...]:
     Self-loops make each node trivially recurrent, so singleton SCCs count:
     the Morse sets partition all cells of the complex.
     """
-    adj = G.successors()
-    by_label = {v.label: v for v in V.multivectors}
-    sets = []
-    for comp in _tarjan_scc(G.nodes, adj):
-        members = tuple(sorted(comp))
-        cells = frozenset().union(*(by_label[m].cells for m in members))
-        sets.append(MorseSet(label=min(cells), cells=cells, members=members))
+    adj: dict[int, list[int]] = {u: [] for u in G.nodes}
+    for u, w in G.arcs:
+        adj[u].append(w)
+    by_label = {min(v): v for v in V.multivectors}
+    sets = [
+        MorseSet(label=min(comp), cells=frozenset().union(*(by_label[u] for u in comp)))
+        for comp in _tarjan_scc(G.nodes, adj)
+    ]
     return tuple(sorted(sets, key=lambda m: m.label))
 
 
@@ -138,10 +140,7 @@ class MorseOrder:
 
 def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
     """Condense the M-graph and take transitive reachability between SCCs."""
-    set_of: dict[int, int] = {}
-    for m in sets:
-        for member in m.members:
-            set_of[member] = m.label
+    set_of = {c: m.label for m in sets for c in m.cells}  # arc ends are labels, so cells
     dag: dict[int, set[int]] = {m.label: set() for m in sets}
     for u, w in G.arcs:
         su, sw = set_of[u], set_of[w]

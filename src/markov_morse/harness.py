@@ -41,6 +41,8 @@ class RandomChainSpec:
             raise ValueError("need at least one state")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def random_chain(spec: RandomChainSpec) -> TransitionMatrix:
@@ -166,7 +168,10 @@ def stability_trials(
     Single mode (n_entries=1): one compensated off-diagonal edit per trial;
     a violation is d_B strictly above the measured matrix distance. Multi
     mode (n_entries=l>1): l edits each strictly below delta_cap; a violation
-    is d_B >= l * delta_cap.
+    is d_B >= l * delta_cap. A source that cannot supply the edits raises
+    ValueError: when n_entries exceeds the n(n-1) off-diagonal entries, when
+    a fixed matrix has no feasible edits, and when 50 * trials random chains
+    hold fewer than `trials` feasible ones.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -174,6 +179,11 @@ def stability_trials(
         raise ValueError("n_entries must be >= 1")
     if not (math.isfinite(delta_cap) and delta_cap > 0):
         raise ValueError(f"delta_cap must be finite and > 0, got {delta_cap!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    off_diagonal = source.n * (source.n - 1)
+    if n_entries > off_diagonal:
+        raise ValueError(f"n_entries={n_entries} exceeds the chain's {off_diagonal} off-diagonal entries")
     fixed = isinstance(source, TransitionMatrix)
     if seed is None:
         seed = 0 if fixed else source.seed
@@ -188,7 +198,7 @@ def stability_trials(
     while trial < trials:
         attempts += 1
         if attempts > 50 * trials:
-            raise RuntimeError("could not sample feasible perturbations")
+            raise ValueError(f"could not sample feasible perturbations in {50 * trials} attempts")
         trial_seed = int(master.integers(2**63))
         rng = np.random.default_rng(trial_seed)
         if fixed:

@@ -20,7 +20,6 @@ from .unionfind import DisjointSet
 
 if TYPE_CHECKING:
     from .dynamics import MorseSet
-    from .mvf import Multivector
 
 
 class TopologicalIndex(NamedTuple):
@@ -86,7 +85,7 @@ def topological_index(X: StateComplex, M: "MorseSet") -> TopologicalIndex:
     )
 
 
-def is_critical(X: StateComplex, V: "Multivector") -> bool:
-    """A multivector is critical iff its relative homology is non-trivial."""
-    c0, c1 = conley_index_dims(X, V.cells)
+def is_critical(X: StateComplex, V: Iterable[int]) -> bool:
+    """A multivector (a cell set) is critical iff its relative homology is non-trivial."""
+    c0, c1 = conley_index_dims(X, V)
     return c0 + c1 > 0

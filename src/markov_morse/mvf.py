@@ -19,61 +19,44 @@ from .unionfind import DisjointSet
 
 
 @dataclass(frozen=True)
-class Multivector:
-    """One locally closed group of cells; labelled by its minimal cell."""
-
-    cells: frozenset[int]
-
-    def __post_init__(self):
-        if not self.cells:
-            raise ValueError("multivector must be non-empty")
-
-    @property
-    def label(self) -> int:
-        return min(self.cells)
-
-    def __contains__(self, cell: int) -> bool:
-        return cell in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __repr__(self) -> str:
-        return f"Multivector({sorted(self.cells)!r})"
-
-
-@dataclass(frozen=True)
 class MultivectorField:
     """A partition of a complex's cells into multivectors, at one threshold.
 
-    Multivectors are kept sorted by label; owner lookup is O(1) via a
-    cell-to-position index built once at construction.
+    A multivector is a frozenset of cell ids, labelled by its smallest cell.
+    Multivectors are kept sorted by label; `label_of` maps every cell to the
+    label of its multivector and is built once at construction.
     """
 
     gamma: float
-    multivectors: tuple[Multivector, ...]
-    _owner: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
+    multivectors: tuple[frozenset[int], ...]
+    label_of: dict[int, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.multivectors, key=lambda v: v.label))
-        object.__setattr__(self, "multivectors", ordered)
-        owner: dict[int, int] = {}
-        for k, v in enumerate(ordered):
-            for c in v.cells:
-                if c in owner:
+        labelled = []
+        label_of: dict[int, int] = {}
+        for v in self.multivectors:
+            if not v:
+                raise ValueError("multivector must be non-empty")
+            label = min(v)
+            for c in v:
+                if c in label_of:
                     raise ValueError(f"cell {c} appears in two multivectors")
-                owner[c] = k
-        object.__setattr__(self, "_owner", owner)
+                label_of[c] = label
+            labelled.append((label, frozenset(v)))
+        labelled.sort(key=lambda lv: lv[0])
+        object.__setattr__(self, "multivectors", tuple(v for _, v in labelled))
+        object.__setattr__(self, "label_of", label_of)
 
-    def vector_of(self, cell: int) -> Multivector:
+    def vector_of(self, cell: int) -> frozenset[int]:
         """The multivector [cell] containing the given cell."""
         try:
-            return self.multivectors[self._owner[cell]]
+            label = self.label_of[cell]
         except KeyError:
             raise KeyError(f"cell {cell} is not in this field") from None
+        return frozenset(c for c, other in self.label_of.items() if other == label)
 
     def cell_set(self) -> frozenset[int]:
-        return frozenset(self._owner)
+        return frozenset(self.label_of)
 
     def __len__(self) -> int:
         return len(self.multivectors)
@@ -97,8 +80,7 @@ def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> Multivector
             dsu.union(X.vertex(i), e)
         if P.prob(j, i) <= gamma:
             dsu.union(X.vertex(j), e)
-    vectors = tuple(Multivector(frozenset(group)) for group in dsu.groups())
-    return MultivectorField(gamma, vectors)
+    return MultivectorField(gamma, tuple(map(frozenset, dsu.groups())))
 
 
 def is_valid_mvf(V: MultivectorField, X: StateComplex) -> bool:
@@ -106,7 +88,7 @@ def is_valid_mvf(V: MultivectorField, X: StateComplex) -> bool:
     covered = V.cell_set()
     if covered != frozenset(X.cells()):
         return False
-    return all(is_locally_closed(X, v.cells) for v in V.multivectors)
+    return all(is_locally_closed(X, v) for v in V.multivectors)
 
 
 def is_coarsening(coarse: MultivectorField, fine: MultivectorField) -> bool:
@@ -117,7 +99,7 @@ def is_coarsening(coarse: MultivectorField, fine: MultivectorField) -> bool:
     if coarse.cell_set() != fine.cell_set():
         raise ValueError("fields live on different complexes")
     for v in fine.multivectors:
-        owners = {coarse._owner[c] for c in v.cells}
+        owners = {coarse.label_of[c] for c in v}
         if len(owners) != 1:
             return False
     return True

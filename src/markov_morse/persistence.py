@@ -111,6 +111,14 @@ class PersistencePoint(tuple):
     def persistence(self) -> float:
         return self.death - self.birth
 
+    def as_dict(self) -> dict:
+        """The JSON object of one point: birth, death ("inf" if immortal), index."""
+        return {
+            "birth": self.birth,
+            "death": "inf" if math.isinf(self.death) else self.death,
+            "index": [self.index.h1, self.index.c1],
+        }
+
     def __repr__(self) -> str:
         return f"PersistencePoint(birth={self.birth}, death={self.death}, index={tuple(self.index)})"
 
@@ -181,14 +189,7 @@ def build_diagram(F: FiltrationResult) -> PersistenceDiagram:
 
 def diagram_to_json(D: PersistenceDiagram) -> str:
     """Canonical JSON: {"grid": [...], "points": [{birth, death, index}...]}."""
-    points = [
-        {
-            "birth": p.birth,
-            "death": "inf" if math.isinf(p.death) else p.death,
-            "index": [p.index.h1, p.index.c1],
-        }
-        for p in D.points
-    ]
+    points = [p.as_dict() for p in D.points]
     return json.dumps({"grid": list(D.grid), "points": points})
 
 

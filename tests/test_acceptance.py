@@ -64,7 +64,7 @@ def test_criterion_1_threshold_partitions_of_the_worked_chain():
     X = build_complex(P)
     t0 = time.perf_counter()
     parts = {
-        g: {frozenset(v.cells) for v in build_mvf(X, P, g).multivectors}
+        g: set(build_mvf(X, P, g).multivectors)
         for g in (0.0, 0.15, 0.17, 0.2, 0.23)
     }
     elapsed = time.perf_counter() - t0
@@ -326,13 +326,13 @@ def test_criterion_9_criticality_semantics_everywhere():
     singletons = arrows = larger = 0
     for X, fld in fields:
         for v in fld.multivectors:
-            dims = conley_index_dims(X, v.cells)
+            dims = conley_index_dims(X, v)
             assert is_critical(X, v) == (sum(dims) > 0)
-            if len(v.cells) == 1:
+            if len(v) == 1:
                 assert is_critical(X, v)
                 singletons += 1
-            elif len(v.cells) == 2:
-                assert sorted(map(X.is_edge, v.cells)) == [False, True]
+            elif len(v) == 2:
+                assert sorted(map(X.is_edge, v)) == [False, True]
                 assert dims == (0, 0)
                 assert not is_critical(X, v)
                 arrows += 1

@@ -225,6 +225,35 @@ class TestExitCodes:
         assert out == ""
         assert "delta_cap must be finite and > 0" in err
 
+    @pytest.mark.parametrize(
+        "spec, extra, message",
+        [
+            ("3", ["--multi", "100"], "n_entries=100"),
+            ("1", [], "n_entries=1"),
+            ("2,0", [], "could not sample feasible perturbations"),
+        ],
+    )
+    def test_impossible_random_perturbation(self, capsys, spec, extra, message):
+        code, out, err = run(capsys, "stability", "--random", spec, "--trials", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--random", "4", "--trials", "1", "--seed", "-1"],
+            ["stability", "MATRIX", "--trials", "1", "--seed", "-1"],
+            ["properties", "--random", "4", "--trials", "1", "--seed", "-3"],
+        ],
+    )
+    def test_negative_seed(self, capsys, matrix_file, argv):
+        argv = [matrix_file if a == "MATRIX" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     def test_malformed_diagram_json(self, capsys, matrix_file, tmp_path):
         bad = tmp_path / "d.json"
         bad.write_text('{"grid": [0.0], "points": [{"birth": 0.0, "death": "inf", "index": [0]}]}')

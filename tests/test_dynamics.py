@@ -18,6 +18,8 @@ from markov_morse.cells import mouth
 from markov_morse.dynamics import pi_map
 
 from conftest import WORKED_COMPLEX
+from mgraph_oracle import mgraph_by_mouths
+from test_frozen_diagrams import specs as frozen_specs
 
 V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
@@ -90,12 +92,24 @@ class TestMGraph:
             G = build_mgraph(fld, worked_complex)
             for vec in fld.multivectors:
                 for other in fld.multivectors:
-                    if vec.label == other.label:
+                    if min(vec) == min(other):
                         continue
-                    expected = any(
-                        pi_map(fld, worked_complex, x) & other.cells for x in vec.cells
-                    )
-                    assert ((vec.label, other.label) in G.arcs) == expected
+                    expected = any(pi_map(fld, worked_complex, x) & other for x in vec)
+                    assert ((min(vec), min(other)) in G.arcs) == expected
+
+    def test_edge_list_arcs_match_the_mouth_oracle(self):
+        # every grid value of the 216 chains frozen in frozen_diagrams.json
+        stages = proper = 0
+        for spec in frozen_specs():
+            P = random_chain(spec)
+            X = build_complex(P)
+            for gamma in threshold_grid(P):
+                fld = build_mvf(X, P, gamma)
+                G = build_mgraph(fld, X)
+                assert G == mgraph_by_mouths(fld, X), f"{spec} at gamma={gamma}"
+                stages += 1
+                proper += sum(u != w for u, w in G.arcs)
+        assert stages > 4000 and proper > 40000
 
 
 class TestMorseSets:

@@ -18,6 +18,8 @@ from markov_morse import (
 )
 from markov_morse.markov import MatrixValidationError, matrix_distance
 
+from conftest import WORKED_ROWS
+
 
 class TestRandomChain:
     def test_deterministic_given_seed(self):
@@ -47,6 +49,10 @@ class TestRandomChain:
             RandomChainSpec(n=0)
         with pytest.raises(ValueError):
             RandomChainSpec(n=3, density=1.5)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RandomChainSpec(n=3, seed=-1)
 
 
 class TestStabilityTrials:
@@ -98,6 +104,23 @@ class TestStabilityTrials:
         with pytest.raises(ValueError, match="delta_cap must be finite and > 0"):
             stability_trials(worked_matrix, 1, delta_cap=delta_cap)
 
+    @pytest.mark.parametrize(
+        "source, n_entries, message",
+        [
+            (RandomChainSpec(n=3, seed=0), 100, "n_entries=100 exceeds the chain's 6"),
+            (RandomChainSpec(n=1, seed=0), 1, "n_entries=1 exceeds the chain's 0"),
+            (RandomChainSpec(n=2, density=0.0, seed=0), 1, "could not sample feasible perturbations"),
+            (TransitionMatrix(WORKED_ROWS), 7, "n_entries=7 exceeds the chain's 6"),
+        ],
+    )
+    def test_impossible_perturbation_request(self, source, n_entries, message):
+        with pytest.raises(ValueError, match=message):
+            stability_trials(source, 1, n_entries=n_entries)
+
+    def test_negative_seed_rejected(self, worked_matrix):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+            stability_trials(worked_matrix, 1, seed=-2)
+
 
 class TestExactTies:
     """Collisions are excluded from sampling; the pipeline itself must not care."""
@@ -147,6 +170,11 @@ class TestPropertyTrials:
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             property_trials(RandomChainSpec(n=3, seed=0), 0)
+
+    def test_negative_seed_rejected(self):
+        # the spec carries the seed, so it is refused before any trial runs
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            property_trials(RandomChainSpec(n=3, seed=-3), 1)
 
 
 class TestStabilityAgainstMeasuredDistance:

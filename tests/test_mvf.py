@@ -3,7 +3,7 @@
 import pytest
 
 from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_grid
-from markov_morse.mvf import Multivector, MultivectorField, is_coarsening, is_valid_mvf
+from markov_morse.mvf import MultivectorField, is_coarsening, is_valid_mvf
 
 from conftest import WORKED_COMPLEX
 
@@ -11,7 +11,7 @@ V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 def partition(field):
-    return {frozenset(v.cells) for v in field.multivectors}
+    return set(field.multivectors)
 
 
 class TestWorkedExample:
@@ -64,7 +64,7 @@ class TestWorkedExample:
 
     def test_labels_are_minimal_cells(self, worked_matrix, worked_complex):
         fld = self.fields(worked_matrix, worked_complex, 0.15)
-        assert [v.label for v in fld.multivectors] == [V(1), V(2), V(3), E(1, 2)]
+        assert [min(v) for v in fld.multivectors] == [V(1), V(2), V(3), E(1, 2)]
 
     def test_determinism(self, worked_matrix, worked_complex):
         a = self.fields(worked_matrix, worked_complex, 0.15)
@@ -86,7 +86,7 @@ class TestZeroEntries:
         fld = build_mvf(X, P, 1.0)
         # no (2,3) edge exists, so states 2 and 3 can only meet through state 1
         assert len(fld) == 1
-        assert fld.multivectors[0].cells == frozenset(X.cells())
+        assert fld.multivectors[0] == frozenset(X.cells())
 
 
 class TestValidity:
@@ -95,15 +95,19 @@ class TestValidity:
             assert is_valid_mvf(build_mvf(worked_complex, worked_matrix, gamma), worked_complex)
 
     def test_missing_cell_is_invalid(self, worked_complex):
-        fld = MultivectorField(0.0, (Multivector(frozenset({V(1)})),))
+        fld = MultivectorField(0.0, (frozenset({V(1)}),))
         assert not is_valid_mvf(fld, worked_complex)
 
     def test_overlapping_parts_rejected_by_constructor(self):
         with pytest.raises(ValueError, match="two multivectors"):
             MultivectorField(
                 0.0,
-                (Multivector(frozenset({V(1)})), Multivector(frozenset({V(1), V(2)}))),
+                (frozenset({V(1)}), frozenset({V(1), V(2)})),
             )
+
+    def test_empty_part_rejected_by_constructor(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            MultivectorField(0.0, (frozenset({V(1)}), frozenset()))
 
     def test_negative_gamma_rejected(self, worked_matrix, worked_complex):
         with pytest.raises(ValueError):
@@ -116,7 +120,8 @@ class TestValidity:
 
     def test_vector_of(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.15)
-        assert fld.vector_of(E(2, 3)).label == V(3)
+        assert fld.vector_of(E(2, 3)) == {V(3), E(1, 3), E(2, 3)}
+        assert fld.label_of[E(2, 3)] == V(3)
         with pytest.raises(KeyError):
             fld.vector_of(worked_complex.cell_count)
 
