@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bottleneck import bottleneck_matching
@@ -24,6 +25,7 @@ from .markov import MatrixError, TransitionMatrix, parse_matrix, threshold_grid
 from .mvf import build_mvf
 from .persistence import (
     PersistenceDiagram,
+    PersistencePoint,
     build_diagram,
     diagram_from_json,
     diagram_to_json,
@@ -64,10 +66,27 @@ def _load_diagram_or_matrix(path: str) -> PersistenceDiagram:
 
 
 def _parse_random_spec(text: str, seed: int) -> RandomChainSpec:
-    parts = text.split(",")
-    n = int(parts[0])
-    density = float(parts[1]) if len(parts) > 1 else 0.7
-    return RandomChainSpec(n=n, density=density, seed=seed)
+    """N or N,DENSITY; a malformed or out-of-range field raises ValueError naming --random."""
+    fields = text.split(",")
+    try:
+        if len(fields) > 2:
+            raise ValueError(f"expected N or N,DENSITY, got {len(fields)} fields")
+        n = int(fields[0])
+        density = float(fields[1]) if len(fields) == 2 else 0.7
+        spec = RandomChainSpec(n=n, density=density)
+    except ValueError as exc:
+        raise ValueError(f"--random {text!r}: {exc}") from None
+    return replace(spec, seed=seed)
+
+
+def _occurrence_ids(
+    points: tuple[PersistencePoint, ...], prefix: str
+) -> dict[PersistencePoint, list[str]]:
+    """Point -> its unused ids, lowest last; equal points are separate occurrences."""
+    ids: dict[PersistencePoint, list[str]] = {}
+    for k in reversed(range(len(points))):
+        ids.setdefault(points[k], []).append(f"{prefix}{k}")
+    return ids
 
 
 def _emit(obj) -> None:
@@ -135,16 +154,16 @@ def _cmd_bottleneck(args) -> int:
     D1 = _load_diagram_or_matrix(args.a)
     D2 = _load_diagram_or_matrix(args.b)
     result = bottleneck_matching(D1, D2)
-    ids1 = {p: f"a{k}" for k, p in enumerate(D1.points)}
-    ids2 = {p: f"b{k}" for k, p in enumerate(D2.points)}
+    ids1 = _occurrence_ids(D1.points, "a")
+    ids2 = _occurrence_ids(D2.points, "b")
 
     matching = None
     if not math.isinf(result.distance):
         matching = [
             {
                 "pair": [
-                    ids1[m.left] if m.left is not None else "diag",
-                    ids2[m.right] if m.right is not None else "diag",
+                    ids1[m.left].pop() if m.left is not None else "diag",
+                    ids2[m.right].pop() if m.right is not None else "diag",
                 ],
                 "a": m.left.as_dict() if m.left is not None else None,
                 "b": m.right.as_dict() if m.right is not None else None,

@@ -1,10 +1,15 @@
-"""Exact bottleneck distance: hand-sized cases, the worked perturbation, metric axioms."""
+"""Exact bottleneck distance: hand-sized cases, the worked perturbation, metric axioms,
+equality with the frozen full-dummy-graph route, and scale."""
 
 import itertools
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_morse import (
     PersistenceDiagram,
@@ -21,9 +26,13 @@ from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, matrix_distance
 from markov_morse.persistence import PersistencePoint
 
+from bottleneck_oracle import _hopcroft_karp as oracle_hopcroft_karp
+from bottleneck_oracle import oracle_matching
+
 INF = math.inf
 K00 = TopologicalIndex(0, 0)
 K01 = TopologicalIndex(0, 1)
+K11 = TopologicalIndex(1, 1)
 GRID = ThresholdGrid((0.0,))
 
 
@@ -162,3 +171,173 @@ class TestMetricAxioms:
                 assert math.isinf(d12) or math.isinf(d23)
             elif not (math.isinf(d12) or math.isinf(d23)):
                 assert d13 <= d12 + d23 + 1e-12
+
+
+# up to 8 points on a quarter grid, one in six immortal: ties and count mismatches are common
+small_diagrams = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.integers(1, 8),
+        st.sampled_from([K00, K01]),
+        st.integers(0, 5).map(lambda k: k == 0),
+    ).map(lambda t: (t[0] / 4, INF if t[3] else (t[0] + t[1]) / 4, t[2])),
+    max_size=8,
+).map(lambda points: diag(*points))
+
+
+class TestMetricProperties:
+    @settings(deadline=None)
+    @given(small_diagrams)
+    def test_identity(self, D):
+        assert bottleneck_distance(D, D) == 0.0
+
+    @settings(deadline=None)
+    @given(small_diagrams, small_diagrams)
+    def test_exact_symmetry(self, D1, D2):
+        assert bottleneck_distance(D1, D2) == bottleneck_distance(D2, D1)
+
+    @settings(deadline=None)
+    @given(small_diagrams, small_diagrams, small_diagrams)
+    def test_triangle_inequality(self, D1, D2, D3):
+        d12 = bottleneck_distance(D1, D2)
+        d23 = bottleneck_distance(D2, D3)
+        d13 = bottleneck_distance(D1, D3)
+        if math.isinf(d13):
+            assert math.isinf(d12) or math.isinf(d23)
+        else:
+            assert d13 <= d12 + d23 + 1e-12
+
+
+def tie_heavy_pair(rng: random.Random):
+    """Two small diagrams on a coarse grid: ties, repeated points, classes empty on one side."""
+    sides = ([], [])
+    for k in rng.sample([K00, K01, K11], rng.randint(1, 3)):
+        scale = rng.choice([2, 3, 4, 8])
+        for side, count in zip(sides, (rng.randint(0, 6), rng.randint(0, 6))):
+            for _ in range(count):
+                if side and rng.random() < 0.3:
+                    side.append(rng.choice(side))
+                else:
+                    birth = rng.randrange(2 * scale)
+                    side.append((birth / scale, (birth + rng.randint(1, 2 * scale)) / scale, k))
+        immortal = rng.randint(0, 2)
+        for side, count in zip(sides, (immortal, immortal + (rng.random() < 0.1))):
+            side.extend((rng.randrange(2 * scale) / scale, INF, k) for _ in range(count))
+    return diag(*sides[0]), diag(*sides[1])
+
+
+def synthetic_pair(seed: int, points: int, near: bool):
+    """One-class diagrams: births in [0, 0.5], exponential lengths of mean 0.08.
+
+    A near pair moves each point of A by up to 0.01 in birth and death and
+    redraws about one point in ten; otherwise B is drawn independently.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(count):
+        births = rng.uniform(0.0, 0.5, size=count)
+        lengths = rng.exponential(0.08, size=count) + 1e-3
+        return [(float(b), float(b + w), K01) for b, w in zip(births, lengths)]
+
+    a = draw(points)
+    if not near:
+        return diag(*a), diag(*draw(points))
+    b = []
+    for birth, death, k in a:
+        if rng.uniform() < 0.1:
+            b.extend(draw(1))
+        else:
+            birth = max(0.0, birth + float(rng.uniform(-0.01, 0.01)))
+            death = max(death + float(rng.uniform(-0.01, 0.01)), birth + 1e-4)
+            b.append((birth, death, k))
+    return diag(*a), diag(*b)
+
+
+def assert_same_as_oracle(D1, D2):
+    result, expected = bottleneck_matching(D1, D2), oracle_matching(D1, D2)
+    assert result == expected
+    assert repr(result) == repr(expected)  # same types and signs too, not just equal values
+    return result
+
+
+class TestAgainstFrozenOracle:
+    def test_tie_heavy_small_pairs(self):
+        rng = random.Random(2017)
+        finite = one_sided = 0
+        for _ in range(1200):
+            D1, D2 = tie_heavy_pair(rng)
+            result = assert_same_as_oracle(D1, D2)
+            finite += not math.isinf(result.distance)
+            classes1, classes2 = ({p.index for p in D.points if p.death < INF} for D in (D1, D2))
+            one_sided += classes1 != classes2
+        # the generator reaches the cases it is meant to cover
+        assert finite > 600 and one_sided > 400
+
+    @pytest.mark.parametrize("near", [True, False], ids=["near", "independent"])
+    def test_200_point_synthetic_pair(self, near):
+        D1, D2 = synthetic_pair(200, 200, near)
+        assert_same_as_oracle(D1, D2)
+
+    def test_chain_against_perturbed_chain(self):
+        rng = random.Random(41)
+        for seed in range(40):
+            P = random_chain(RandomChainSpec(n=rng.randint(3, 7), density=0.7, seed=seed))
+            i, j = rng.sample(range(P.n), 2)
+            room = P.entries[i, i] if rng.random() < 0.5 else -P.entries[i, j]
+            Q = perturb(P, PerturbationSpec(i + 1, j + 1, room * rng.uniform(0.05, 1.0)))
+            D1 = build_diagram(run_filtration(P))
+            D2 = build_diagram(run_filtration(Q))
+            assert_same_as_oracle(D1, D2)
+            assert_same_as_oracle(D2, D1)
+
+
+def staircase_pair(n: int):
+    """n + 1 long bars a side whose one optimal matching needs a path through all of them.
+
+    Births sit in a band narrower than the radius and only order the points;
+    deaths make the graph at radius 0.5: a_i (i < n) is within it of b_i and
+    b_(i+1), and the last point a_n of b_0 alone. The first phase matches
+    a_i with b_i for i < n, which leaves a_n one augmenting path of length
+    2n + 1.
+    """
+    a = [(i / (4 * n), 10.5 + i, K01) for i in range(n)] + [(0.25, 9.5, K01)]
+    b = [(j / (4 * n), 10.0 + j, K01) for j in range(n + 1)]
+    return diag(*a), diag(*b)
+
+
+def caller_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestScale:
+    def test_2000_point_pair(self):
+        D1, D2 = synthetic_pair(2000, 2000, near=True)
+        result = bottleneck_matching(D1, D2)
+        lefts = [m.left for m in result.pairs if m.left is not None]
+        rights = [m.right for m in result.pairs if m.right is not None]
+        assert sorted(lefts) == sorted(D1.points)  # every point covered exactly once
+        assert sorted(rights) == sorted(D2.points)
+        assert max(m.cost for m in result.pairs) == result.distance
+        assert bottleneck_distance(D2, D1) == result.distance
+
+    def test_recursion_limit_is_irrelevant(self):
+        n = 1000
+        D1, D2 = staircase_pair(n)
+        staircase_graph = [[i, i + 1] for i in range(n)] + [[0]]
+        limit = sys.getrecursionlimit()
+        # room for the library's call chain and numpy's wrappers; the
+        # recursive oracle needs one frame per step of the long path
+        sys.setrecursionlimit(caller_depth() + 30)
+        try:
+            result = bottleneck_matching(D1, D2)
+            with pytest.raises(RecursionError):
+                oracle_hopcroft_karp(staircase_graph, n + 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.distance == 0.5
+        assert [m.cost for m in result.pairs] == [0.5] * (n + 1)
+        assert sorted(m.left for m in result.pairs) == sorted(D1.points)
+        assert sorted(m.right for m in result.pairs) == sorted(D2.points)

@@ -127,6 +127,23 @@ class TestBottleneck:
         assert all(len(p) == 2 for p in pairs)
 
 
+    def test_duplicate_points_get_their_own_ids(self, capsys, tmp_path):
+        point = {"birth": 0.0, "death": 1.0, "index": [0, 0]}
+        twice, once = tmp_path / "twice.json", tmp_path / "once.json"
+        twice.write_text(json.dumps({"grid": [0.0, 1.0], "points": [point, point]}))
+        once.write_text(json.dumps({"grid": [0.0, 1.0], "points": [point]}))
+        for a, b, lefts, rights in [
+            (twice, once, ["a0", "a1"], ["b0", "diag"]),
+            (once, twice, ["a0", "diag"], ["b0", "b1"]),
+        ]:
+            code, out, _ = run(capsys, "bottleneck", str(a), str(b))
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["distance"] == 0.5
+            assert sorted(m["pair"][0] for m in obj["matching"]) == lefts
+            assert sorted(m["pair"][1] for m in obj["matching"]) == rights
+
+
 class TestStabilityCommand:
     def test_random_chains_clean(self, capsys):
         code, out, _ = run(
@@ -253,6 +270,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("command", ["stability", "properties"])
+    @pytest.mark.parametrize(
+        "spec", ["3,0.5,junk", "3,0.5,", "x", "2.5", "", "3,y", "3,", "0", "3,1.5", "3,nan"]
+    )
+    def test_bad_random_spec(self, capsys, command, spec):
+        code, out, err = run(capsys, command, "--random", spec, "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "--random" in err
 
     def test_malformed_diagram_json(self, capsys, matrix_file, tmp_path):
         bad = tmp_path / "d.json"

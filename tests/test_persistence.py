@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markov_morse import (
     PersistenceDiagram,
@@ -229,11 +231,33 @@ class TestPersistencePoint:
         assert math.isinf(pt(0.1, INF, 1, 1).death)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_diagram = st.builds(
+    PersistenceDiagram,
+    st.lists(
+        st.tuples(finite, finite | st.just(INF), st.integers(-2, 3), st.integers(-2, 3))
+        .filter(lambda t: t[1] > t[0])
+        .map(lambda t: pt(*t)),
+        max_size=6,
+    ).map(tuple),
+    st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), unique=True).map(
+        lambda values: ThresholdGrid((0.0, *sorted(values)))
+    ),
+)
+
+
 class TestDiagramJson:
     def test_round_trip(self, worked_matrix):
         D = build_diagram(run_filtration(worked_matrix))
         again = diagram_from_json(diagram_to_json(D))
         assert again == D
+
+    @settings(deadline=None)
+    @given(any_diagram)
+    def test_round_trip_of_any_diagram(self, D):
+        text = diagram_to_json(D)
+        assert diagram_from_json(text) == D
+        assert diagram_to_json(diagram_from_json(text)) == text
 
     def test_infinite_death_serialized_as_string(self, worked_matrix):
         import json
