@@ -5,8 +5,9 @@ positive-probability transitions) and, at each probability threshold, a
 partition of that space into multivectors. Morse sets of the induced coarse
 dynamics carry homological decorations; tracking them across the threshold
 grid yields an index-decorated persistence diagram, compared by an
-index-aware bottleneck distance that provably moves no faster than the
-matrix entries.
+index-aware bottleneck distance. The harness tests how far the diagram
+moves when matrix entries move; a single edit can move it further than the
+edit itself on some chains.
 
 The package exports the pipeline; the lower layers (cells, fields,
 dynamics, homology) are imported from their own modules.

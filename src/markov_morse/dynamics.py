@@ -13,13 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import StateComplex, closure
+from .cells import StateComplex
 from .mvf import MultivectorField
-
-
-def pi_map(V: MultivectorField, X: StateComplex, x: int) -> frozenset[int]:
-    """The multivalued map value at x: [x] union cl{x}."""
-    return V.vector_of(x) | closure(X, (x,))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,24 @@
 """Persistence of Morse sets across the threshold filtration.
 
-Running the field construction at every grid value gives a coarsening chain
-of partitions; each Morse set at one stage sits inside exactly one Morse set
-at the next. Tracks follow these containments. A track dies when its
-decoration stops matching its containing set's (index-change death) or when
-an older or canonically smaller track absorbs it (merge death); surviving
-tracks at the final stage are immortal. Each death or immortal track yields
-one decorated point (birth, death, index).
+Raising gamma past an entry p_ij merges vertex i into the multivector of an
+incident edge e, so the fields over the grid form a coarsening chain and
+each Morse set at one stage sits inside exactly one Morse set at the next.
+`run_filtration` sweeps the grid once: the directed entries are sorted, and
+at each grid value every entry <= gamma is applied to one union-find of
+cells before the stage is emitted (zero entries before the first stage).
+
+The Morse sets are kept as the condensation DAG of the M-graph. A union
+adds no arc: it only identifies the nodes [e] and [v], and the arc
+[e] -> [v] exists already. So the sets that become one are exactly those on
+a path SCC([e]) ~> W ~> SCC([v]): a forward search from SCC([e]) intersected
+with a backward search from SCC([v]). They are contracted into one node;
+every other set, its index and its track carry over unchanged.
+
+Tracks follow these contractions. A track dies when its decoration stops
+matching its containing set's (index-change death) or when an older or
+canonically smaller track absorbs it (merge death); surviving tracks at the
+final stage are immortal. Each death or immortal track yields one decorated
+point (birth, death, index).
 """
 
 from __future__ import annotations
@@ -14,22 +26,31 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet, build_mgraph, morse_sets
+from .dynamics import MorseSet
 from .homology import TopologicalIndex, topological_index
 from .markov import ThresholdGrid, TransitionMatrix, threshold_grid
-from .mvf import MultivectorField, build_mvf
+from .mvf import MultivectorField
+from .unionfind import DisjointSet
 
 
 @dataclass(frozen=True)
 class Stage:
-    """Everything computed at one grid value."""
+    """Everything computed at one grid value.
+
+    `absorbed` is the lineage: it maps the label of each Morse set born at
+    this stage to the sorted labels of the previous-stage sets it is the
+    union of. Every set not in it is unchanged since the previous stage and
+    is the same object there. At the first stage it is empty.
+    """
 
     gamma: float
     field: MultivectorField
     morse_sets: tuple[MorseSet, ...]
     index_of: dict[int, TopologicalIndex] = field(compare=False)
+    absorbed: dict[int, tuple[int, ...]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -39,17 +60,104 @@ class FiltrationResult:
     stages: tuple[Stage, ...]
 
 
+def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
+    """Nodes reachable from start along arcs, staying inside `within` if given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in arcs[stack.pop()]:
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+class _Sweep:
+    """The field and the Morse-set DAG, coarsened one union at a time.
+
+    Both union-finds keep the smallest cell of each group as its root, so a
+    find is a label.
+    """
+
+    def __init__(self, X: StateComplex):
+        cells = range(X.cell_count)
+        self.vector_uf = DisjointSet(X.cell_count)
+        self.vector_cells = {c: frozenset((c,)) for c in cells}
+        self.set_uf = DisjointSet(X.cell_count)
+        self.morse = {c: MorseSet(c, self.vector_cells[c]) for c in cells}
+        self.succ: dict[int, set[int]] = {c: set() for c in cells}
+        self.pred: dict[int, set[int]] = {c: set() for c in cells}
+        for e, (i, j) in enumerate(X.edges, start=X.n):
+            for v in (i - 1, j - 1):
+                self.succ[e].add(v)
+                self.pred[v].add(e)
+        self.born: dict[int, list[int]] = {}  # set label -> previous-stage labels
+
+    def join(self, v: int, e: int) -> None:
+        """Merge vertex v into the multivector of edge e."""
+        a, b = self.vector_uf.find(e), self.vector_uf.find(v)
+        if a == b:
+            return
+        keep, gone = min(a, b), max(a, b)
+        self.vector_uf.link(keep, gone)
+        self.vector_cells[keep] |= self.vector_cells.pop(gone)
+        top, bottom = self.set_uf.find(e), self.set_uf.find(v)
+        if top != bottom:
+            # every set on a path top ~> bottom: a node that reaches bottom
+            # from inside top's forward cone stays inside it on the way
+            self._contract(_reach(bottom, self.pred, within=_reach(top, self.succ)))
+
+    def _contract(self, merged: set[int]) -> None:
+        """Replace the sets `merged`, a strongly connected group now, by their union."""
+        new = min(merged)
+        succ = set().union(*(self.succ.pop(s) for s in merged)) - merged
+        pred = set().union(*(self.pred.pop(s) for s in merged)) - merged
+        for w in succ:
+            self.pred[w] -= merged
+            self.pred[w].add(new)
+        for w in pred:
+            self.succ[w] -= merged
+            self.succ[w].add(new)
+        self.succ[new], self.pred[new] = succ, pred
+        parts = []
+        for s in merged:
+            parts += self.born.pop(s, (s,))
+            if s != new:
+                self.set_uf.link(new, s)
+        self.born[new] = parts
+        cells = frozenset().union(*(self.morse.pop(s).cells for s in merged))
+        self.morse[new] = MorseSet(new, cells)
+
+
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     """Fields, Morse sets and indices at every threshold of P's grid."""
     grid = threshold_grid(P)
     X = build_complex(P)
-    stages = []
+    entries = sorted(
+        (P.prob(a, b), a - 1, e)
+        for e, (i, j) in enumerate(X.edges, start=X.n)
+        for a, b in ((i, j), (j, i))
+    )
+    sweep = _Sweep(X)
+    stages: list[Stage] = []
+    index_of: dict[int, TopologicalIndex] = {}
+    k = 0
     for gamma in grid:
-        fld = build_mvf(X, P, gamma)
-        G = build_mgraph(fld, X)
-        sets = morse_sets(G, fld)
-        index_of = {m.label: topological_index(X, m) for m in sets}
-        stages.append(Stage(gamma, fld, sets, index_of))
+        while k < len(entries) and entries[k][0] <= gamma:
+            _, v, e = entries[k]
+            sweep.join(v, e)
+            k += 1
+        born, sweep.born = sweep.born, {}
+        if born or not stages:
+            sets = tuple(sorted(sweep.morse.values(), key=lambda m: m.label))
+            kept = index_of  # every set is new at the first stage, when this is empty
+            index_of = {
+                m.label: kept[m.label] if m.label in kept and m.label not in born else topological_index(X, m)
+                for m in sets
+            }
+        absorbed = {label: tuple(sorted(parts)) for label, parts in born.items()} if stages else {}
+        fld = MultivectorField(gamma, tuple(sweep.vector_cells.values()))  # sorts by label
+        stages.append(Stage(gamma, fld, sets, index_of, absorbed))
     return FiltrationResult(grid, X, tuple(stages))
 
 
@@ -74,15 +182,12 @@ def containment_map(prev: Stage, nxt: Stage) -> dict[int, int]:
     return result
 
 
-@dataclass
-class Track:
-    """A living Morse-set lineage during diagram extraction."""
+class _Track(NamedTuple):
+    """The live lineage of one Morse set during diagram extraction."""
 
     birth: float
-    label: int  # label of the currently containing Morse set
     birth_label: int  # label of the Morse set at birth; tie-break key
     index: TopologicalIndex
-    alive: bool = True
 
 
 class PersistencePoint(tuple):
@@ -147,42 +252,32 @@ class PersistenceDiagram:
 def build_diagram(F: FiltrationResult) -> PersistenceDiagram:
     """Extract the decorated diagram from a filtration by track bookkeeping.
 
-    Per stage, live tracks are grouped by the Morse set now containing them.
-    Within each group, tracks whose index differs from the set's die first;
-    among the rest the minimal (birth, birth label) survives and the others
-    die; an empty group births a new track. Base-stage births are at 0.
+    Every Morse set carries one live track; base-stage tracks are born at 0.
+    A set born at a stage gathers the tracks of the sets it absorbed (its
+    lineage). Tracks whose index differs from the new set's die first; among
+    the rest the minimal (birth, birth label) survives and the others die;
+    if none is left, a new track is born. Unchanged sets keep their track.
     """
     points: list[PersistencePoint] = []
     base = F.stages[0]
-    tracks = [
-        Track(birth=0.0, label=m.label, birth_label=m.label, index=base.index_of[m.label])
-        for m in base.morse_sets
-    ]
-    for prev, stage in zip(F.stages, F.stages[1:]):
-        cmap = containment_map(prev, stage)
-        groups: dict[int, list[Track]] = {m.label: [] for m in stage.morse_sets}
-        for t in tracks:
-            t.label = cmap[t.label]
-            groups[t.label].append(t)
-        for m in stage.morse_sets:
-            k_new = stage.index_of[m.label]
-            group = groups[m.label]
+    track_of = {m.label: _Track(0.0, m.label, base.index_of[m.label]) for m in base.morse_sets}
+    for stage in F.stages[1:]:
+        for label, parts in stage.absorbed.items():
+            k_new = stage.index_of[label]
             matching = []
-            for t in group:
+            for t in map(track_of.pop, parts):
                 if t.index != k_new:  # index-change death, before any merge
-                    t.alive = False
                     points.append(PersistencePoint(t.birth, stage.gamma, t.index))
                 else:
                     matching.append(t)
             if matching:
                 matching.sort(key=lambda t: (t.birth, t.birth_label))
                 for t in matching[1:]:  # merge deaths
-                    t.alive = False
                     points.append(PersistencePoint(t.birth, stage.gamma, t.index))
+                track_of[label] = matching[0]
             else:
-                tracks.append(Track(stage.gamma, m.label, m.label, k_new))
-        tracks = [t for t in tracks if t.alive]
-    for t in tracks:
+                track_of[label] = _Track(stage.gamma, label, k_new)
+    for t in track_of.values():
         points.append(PersistencePoint(t.birth, math.inf, t.index))
     return PersistenceDiagram(tuple(points), F.grid)
 

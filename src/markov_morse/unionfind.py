@@ -29,6 +29,11 @@ class DisjointSet:
         self.size[ra] += self.size[rb]
         return True
 
+    def link(self, root: int, child: int) -> None:
+        """Hang root `child` under root `root`: unlike union, the caller picks the survivor."""
+        self.parent[child] = root
+        self.size[root] += self.size[child]
+
     def groups(self) -> list[list[int]]:
         """Members of each group, each list ascending, groups by smallest member."""
         buckets: dict[int, list[int]] = {}

@@ -281,6 +281,14 @@ class TestExitCodes:
         assert out == ""
         assert "--random" in err
 
+    @pytest.mark.parametrize("command", ["stability", "properties"])
+    def test_unbuildable_random_size(self, capsys, command):
+        # refused while parsing --random, before any matrix is allocated
+        code, out, err = run(capsys, command, "--random", "100000", "--trials", "1")
+        assert code == 2
+        assert out == ""
+        assert "--random '100000': n=100000 exceeds 4096 states" in err
+
     def test_malformed_diagram_json(self, capsys, matrix_file, tmp_path):
         bad = tmp_path / "d.json"
         bad.write_text('{"grid": [0.0], "points": [{"birth": 0.0, "death": "inf", "index": [0]}]}')

@@ -15,10 +15,9 @@ from markov_morse import (
     threshold_grid,
 )
 from markov_morse.cells import mouth
-from markov_morse.dynamics import pi_map
 
 from conftest import WORKED_COMPLEX
-from mgraph_oracle import mgraph_by_mouths
+from mgraph_oracle import mgraph_by_mouths, pi_map
 from test_frozen_diagrams import specs as frozen_specs
 
 V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge

@@ -16,6 +16,7 @@ from markov_morse import (
     stability_trials,
     threshold_grid,
 )
+from markov_morse.harness import MAX_STATES
 from markov_morse.markov import MatrixValidationError, matrix_distance
 
 from conftest import WORKED_ROWS
@@ -53,6 +54,14 @@ class TestRandomChain:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RandomChainSpec(n=3, seed=-1)
+
+    def test_unbuildable_size_rejected_before_allocation(self):
+        # the spec refuses on its own; no weight matrix is ever drawn
+        with pytest.raises(ValueError, match=r"n=100000 exceeds 4096 states.*74\.5 GiB"):
+            RandomChainSpec(n=100000)
+        with pytest.raises(ValueError, match="n=4097"):
+            RandomChainSpec(n=MAX_STATES + 1)
+        assert RandomChainSpec(n=MAX_STATES).n == MAX_STATES
 
 
 class TestStabilityTrials:
@@ -171,6 +180,24 @@ class TestPropertyTrials:
         with pytest.raises(ValueError):
             property_trials(RandomChainSpec(n=3, seed=0), 0)
 
+    def test_wrong_lineage_is_reported(self, monkeypatch):
+        # a merge that forgets one absorbed set must not pass as containment
+        from dataclasses import replace
+
+        import markov_morse.harness as harness
+
+        def forgetful(P):
+            F = run_filtration(P)
+            stages = list(F.stages)
+            k = next(k for k, s in enumerate(stages) if s.absorbed)
+            label, parts = next(iter(stages[k].absorbed.items()))
+            stages[k] = replace(stages[k], absorbed={**stages[k].absorbed, label: parts[:-1]})
+            return replace(F, stages=tuple(stages))
+
+        monkeypatch.setattr(harness, "run_filtration", forgetful)
+        report = property_trials(RandomChainSpec(n=5, seed=2), 1)
+        assert any("lineage" in f and "differs from containment" in f for f in report.failures)
+
     def test_negative_seed_rejected(self):
         # the spec carries the seed, so it is refused before any trial runs
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
@@ -191,3 +218,34 @@ class TestStabilityAgainstMeasuredDistance:
         measured = matrix_distance(worked_matrix, Q).delta_inf
         assert d_b <= measured
         assert measured != 0.01  # the ulp gap this design decision exists for
+
+
+class TestKnownStabilityCounterexample:
+    """An n=8 chain on which one compensated edit moves the diagram by more than delta.
+
+    The diagram keeps a track's index at its death: when a Morse set's index
+    changes and later changes back, the track dies and the feature is born
+    again, and the perturbation shifts that rebirth further than it shifts
+    the entry. These tests pin the values so a refactor cannot move them.
+    """
+
+    SEED = 1637403276
+
+    def record(self):
+        spec = RandomChainSpec(8, 0.7, self.SEED)
+        return stability_trials(spec, 1, seed=self.SEED).records[0]
+
+    def test_pinned_violation(self):
+        r = self.record()
+        assert repr(r.d_b) == "0.017983687388272256"
+        assert repr(r.bound) == "0.016519472107721127"
+        assert r.violation is True
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="index-change death followed by a rebirth of the same index: "
+        "the single-entry bound d_B <= delta does not hold for this track rule",
+    )
+    def test_single_entry_bound(self):
+        r = self.record()
+        assert r.d_b <= r.bound

@@ -6,6 +6,7 @@ from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_g
 from markov_morse.mvf import MultivectorField, is_coarsening, is_valid_mvf
 
 from conftest import WORKED_COMPLEX
+from mgraph_oracle import vector_of
 
 V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
@@ -120,10 +121,10 @@ class TestValidity:
 
     def test_vector_of(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.15)
-        assert fld.vector_of(E(2, 3)) == {V(3), E(1, 3), E(2, 3)}
+        assert vector_of(fld, E(2, 3)) == {V(3), E(1, 3), E(2, 3)}
         assert fld.label_of[E(2, 3)] == V(3)
         with pytest.raises(KeyError):
-            fld.vector_of(worked_complex.cell_count)
+            vector_of(fld, worked_complex.cell_count)
 
 
 class TestCoarsening:
