@@ -30,7 +30,7 @@ from .markov import (
     perturb,
     serialize_matrix,
 )
-from .mvf import is_coarsening, is_valid_mvf
+from .mvf import build_mvf, is_coarsening, is_valid_mvf
 from .persistence import build_diagram, containment_map, run_filtration
 
 # random_chain holds about three n x n float64 arrays at once (weights, mask
@@ -289,11 +289,13 @@ class PropertyReport:
 def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
     """Structural invariants of the full pipeline over random chains.
 
-    Per chain and stage: the field partitions the complex into locally
-    closed parts; consecutive stages coarsen; Morse sets nest into exactly
-    one successor, and the stage's lineage lists exactly the sets that
-    merged; the diagram's immortal points equal the final stage's
-    Morse sets and every death exceeds its birth.
+    Per chain and stage: the field `build_mvf` defines at the stage's gamma
+    partitions the complex into locally closed parts, and each of its
+    multivectors lies inside one of the stage's Morse sets; consecutive
+    fields coarsen; Morse sets nest into exactly one successor, and the
+    stage's lineage lists exactly the sets that merged; the diagram's
+    immortal points equal the final stage's Morse sets and every death
+    exceeds its birth.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -310,13 +312,16 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
         P = random_chain(RandomChainSpec(spec.n, spec.density, trial_seed))
         F = run_filtration(P)
         tag = f"trial {trial} (seed {trial_seed})"
-        for stage in F.stages:
-            if is_valid_mvf(stage.field, F.complex):
+        fields = [build_mvf(F.complex, P, stage.gamma) for stage in F.stages]
+        for stage, fld in zip(F.stages, fields):
+            owner = {c: m.label for m in stage.morse_sets for c in m.cells}
+            inside = all(len({owner.get(c) for c in v}) == 1 for v in fld.multivectors)
+            if is_valid_mvf(fld, F.complex) and inside:
                 checks["valid_field"] += 1
             else:
-                failures.append(f"{tag}: invalid field at gamma={stage.gamma}")
-        for prev, nxt in zip(F.stages, F.stages[1:]):
-            if is_coarsening(nxt.field, prev.field):
+                failures.append(f"{tag}: invalid field, or one straddling Morse sets, at gamma={stage.gamma}")
+        for prev, nxt, fine, coarse in zip(F.stages, F.stages[1:], fields, fields[1:]):
+            if is_coarsening(coarse, fine):
                 checks["coarsening"] += 1
             else:
                 failures.append(f"{tag}: no coarsening {prev.gamma} -> {nxt.gamma}")

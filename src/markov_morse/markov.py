@@ -126,14 +126,12 @@ class ThresholdGrid:
 class PerturbationSpec:
     """One off-diagonal edit: entry (row, col) += delta, 1-based indices.
 
-    With compensate=True (the canonical mode) the diagonal entry (row, row)
-    absorbs -delta so the row stays stochastic.
+    The diagonal entry (row, row) absorbs -delta so the row stays stochastic.
     """
 
     row: int
     col: int
     delta: float
-    compensate: bool = True
 
     def __post_init__(self):
         if self.row < 1 or self.col < 1:
@@ -218,11 +216,19 @@ def _parse_json(text: str) -> TransitionMatrix:
 
 
 def serialize_matrix(P: TransitionMatrix, fmt: str = "json") -> str:
-    """Serialize with full precision; parse_matrix(serialize_matrix(P)) == P bit-exactly."""
+    """Serialize with full precision; parse_matrix(serialize_matrix(P)) == P bit-exactly.
+
+    The CSV header is split on commas, each label is stripped and lines are
+    broken by `str.splitlines`, so a label with a comma, a line break or
+    surrounding whitespace cannot be written to CSV and raises ValueError.
+    """
     if fmt == "json":
         rows = [[float(v) for v in row] for row in P.entries]
         return json.dumps({"states": list(P.states), "matrix": rows})
     if fmt == "csv":
+        for s in P.states:
+            if "," in s or s != s.strip() or s.splitlines() != [s]:
+                raise ValueError(f"state label {s!r} does not survive a CSV header; use JSON")
         header = "# " + ",".join(P.states)
         lines = [",".join(repr(float(v)) for v in row) for row in P.entries]
         return "\n".join([header, *lines]) + "\n"
@@ -237,7 +243,7 @@ def threshold_grid(P: TransitionMatrix) -> ThresholdGrid:
 
 
 def perturb(P: TransitionMatrix, spec: PerturbationSpec) -> TransitionMatrix:
-    """Apply one off-diagonal perturbation, diagonally compensated by default."""
+    """Apply one off-diagonal perturbation, compensated on the diagonal."""
     n = P.n
     if spec.row > n or spec.col > n:
         raise MatrixValidationError(f"target ({spec.row},{spec.col}) outside a {n}-state matrix")
@@ -248,12 +254,11 @@ def perturb(P: TransitionMatrix, spec: PerturbationSpec) -> TransitionMatrix:
         raise MatrixValidationError(
             f"perturbed entry ({spec.row},{spec.col}) = {new[i, j]!r} out of [0, 1]"
         )
-    if spec.compensate:
-        new[i, i] -= spec.delta
-        if not 0.0 <= new[i, i] <= 1.0:
-            raise MatrixValidationError(
-                f"compensation impossible: diagonal ({spec.row},{spec.row}) = {new[i, i]!r} out of [0, 1]"
-            )
+    new[i, i] -= spec.delta
+    if not 0.0 <= new[i, i] <= 1.0:
+        raise MatrixValidationError(
+            f"compensation impossible: diagonal ({spec.row},{spec.row}) = {new[i, i]!r} out of [0, 1]"
+        )
     return TransitionMatrix(new, P.states)
 
 

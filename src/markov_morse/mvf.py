@@ -44,11 +44,7 @@ class MultivectorField:
                 label_of[c] = label
             labelled.append((label, frozenset(v)))
         labelled.sort(key=lambda lv: lv[0])
-        # From a list, so CPython allocates the tuple at its exact size. A tuple
-        # built from a generator is resized, and freeing many of those at once
-        # fills the per-size tuple free lists: about 4 MB of peak RSS over the
-        # many small filtrations of a stability run.
-        object.__setattr__(self, "multivectors", tuple([v for _, v in labelled]))
+        object.__setattr__(self, "multivectors", tuple(v for _, v in labelled))
         object.__setattr__(self, "label_of", label_of)
 
     def cell_set(self) -> frozenset[int]:

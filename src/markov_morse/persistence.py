@@ -6,6 +6,8 @@ each Morse set at one stage sits inside exactly one Morse set at the next.
 `run_filtration` sweeps the grid once: the directed entries are sorted, and
 at each grid value every entry <= gamma is applied to one union-find of
 cells before the stage is emitted (zero entries before the first stage).
+Every multivector lies inside one Morse set, so only the sets are kept; the
+field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
 
 The Morse sets are kept as the condensation DAG of the M-graph. A union
 adds no arc: it only identifies the nodes [e] and [v], and the arc
@@ -32,7 +34,6 @@ from .cells import StateComplex, build_complex
 from .dynamics import MorseSet
 from .homology import TopologicalIndex, topological_index
 from .markov import ThresholdGrid, TransitionMatrix, threshold_grid
-from .mvf import MultivectorField
 from .unionfind import DisjointSet
 
 
@@ -47,7 +48,6 @@ class Stage:
     """
 
     gamma: float
-    field: MultivectorField
     morse_sets: tuple[MorseSet, ...]
     index_of: dict[int, TopologicalIndex] = field(compare=False)
     absorbed: dict[int, tuple[int, ...]] = field(compare=False)
@@ -73,18 +73,16 @@ def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
 
 
 class _Sweep:
-    """The field and the Morse-set DAG, coarsened one union at a time.
+    """The Morse-set DAG, coarsened one union at a time.
 
-    Both union-finds keep the smallest cell of each group as its root, so a
+    The union-find keeps the smallest cell of each set as its root, so a
     find is a label.
     """
 
     def __init__(self, X: StateComplex):
         cells = range(X.cell_count)
-        self.vector_uf = DisjointSet(X.cell_count)
-        self.vector_cells = {c: frozenset((c,)) for c in cells}
         self.set_uf = DisjointSet(X.cell_count)
-        self.morse = {c: MorseSet(c, self.vector_cells[c]) for c in cells}
+        self.morse = {c: MorseSet(c, frozenset((c,))) for c in cells}
         self.succ: dict[int, set[int]] = {c: set() for c in cells}
         self.pred: dict[int, set[int]] = {c: set() for c in cells}
         for e, (i, j) in enumerate(X.edges, start=X.n):
@@ -94,13 +92,7 @@ class _Sweep:
         self.born: dict[int, list[int]] = {}  # set label -> previous-stage labels
 
     def join(self, v: int, e: int) -> None:
-        """Merge vertex v into the multivector of edge e."""
-        a, b = self.vector_uf.find(e), self.vector_uf.find(v)
-        if a == b:
-            return
-        keep, gone = min(a, b), max(a, b)
-        self.vector_uf.link(keep, gone)
-        self.vector_cells[keep] |= self.vector_cells.pop(gone)
+        """Merge vertex v into the multivector of edge e (a no-op if they share a Morse set)."""
         top, bottom = self.set_uf.find(e), self.set_uf.find(v)
         if top != bottom:
             # every set on a path top ~> bottom: a node that reaches bottom
@@ -130,7 +122,7 @@ class _Sweep:
 
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
-    """Fields, Morse sets and indices at every threshold of P's grid."""
+    """Morse sets and indices at every threshold of P's grid."""
     grid = threshold_grid(P)
     X = build_complex(P)
     entries = sorted(
@@ -156,8 +148,7 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
                 for m in sets
             }
         absorbed = {label: tuple(sorted(parts)) for label, parts in born.items()} if stages else {}
-        fld = MultivectorField(gamma, tuple(sweep.vector_cells.values()))  # sorts by label
-        stages.append(Stage(gamma, fld, sets, index_of, absorbed))
+        stages.append(Stage(gamma, sets, index_of, absorbed))
     return FiltrationResult(grid, X, tuple(stages))
 
 

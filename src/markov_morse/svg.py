@@ -12,6 +12,7 @@ from collections import Counter
 
 from .persistence import PersistenceDiagram
 
+_SIZE = 520  # width in px; the height adds the infinity rail
 _PALETTE = ["#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#bf8700", "#57606a"]
 _SHAPES = ["circle", "square", "diamond", "triangle", "cross", "ring"]
 
@@ -40,8 +41,9 @@ def _marker(shape: str, x: float, y: float, color: str) -> str:
     return f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="none" stroke="{color}" stroke-width="2.5"/>'
 
 
-def render_diagram_svg(D: PersistenceDiagram, size: int = 520) -> str:
+def render_diagram_svg(D: PersistenceDiagram) -> str:
     """Self-contained SVG document for the diagram."""
+    size = _SIZE
     margin = 56.0
     plot = size - 2 * margin
     rail_gap = 30.0

@@ -157,8 +157,9 @@ def test_criterion_4_coarsening_and_containment_on_random_chains():
     data = random_filtrations()
     checked_pairs = 0
     for P, F in data:
-        for prev, nxt in zip(F.stages, F.stages[1:]):
-            assert is_coarsening(nxt.field, prev.field)
+        fields = [build_mvf(F.complex, P, stage.gamma) for stage in F.stages]
+        for prev, nxt, fine, coarse in zip(F.stages, F.stages[1:], fields, fields[1:]):
+            assert is_coarsening(coarse, fine)
             cm = containment_map(prev, nxt)  # raises if any set straddles
             assert set(cm) == {m.label for m in prev.morse_sets}
             targets = {m.label for m in nxt.morse_sets}
@@ -319,9 +320,9 @@ def test_criterion_9_criticality_semantics_everywhere():
     X = build_complex(P)
     for g in (0.0, 0.15, 0.17, 0.2, 0.23):
         fields.append((X, build_mvf(X, P, g)))
-    for _, F in random_filtrations():
+    for P, F in random_filtrations():
         for stage in F.stages:
-            fields.append((F.complex, stage.field))
+            fields.append((F.complex, build_mvf(F.complex, P, stage.gamma)))
 
     singletons = arrows = larger = 0
     for X, fld in fields:

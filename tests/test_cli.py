@@ -183,6 +183,19 @@ class TestStabilityCommand:
         assert code == 3
         assert "violation" in err
 
+    def test_pinned_counterexample_exits_3(self, capsys):
+        # the n=8 chain on which one compensated edit moves the diagram by more
+        # than the edit (see TestKnownStabilityCounterexample in test_harness.py)
+        code, out, err = run(
+            capsys, "stability", "--random", "8,0.7", "--trials", "1", "--seed", "1637403276"
+        )
+        assert code == 3
+        assert "1 violation" in err
+        (record,) = json.loads(out)["records"]
+        assert repr(record["d_b"]) == "0.017983687388272256"
+        assert repr(record["bound"]) == "0.016519472107721127"
+        assert record["violation"] is True
+
 
 class TestPropertiesCommand:
     def test_clean_run(self, capsys):

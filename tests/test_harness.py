@@ -198,6 +198,37 @@ class TestPropertyTrials:
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
         assert any("lineage" in f and "differs from containment" in f for f in report.failures)
 
+    def test_split_multivector_is_reported(self, monkeypatch):
+        # final-stage Morse sets that cut one of build_mvf's multivectors in
+        # two must not pass as a valid field
+        from dataclasses import replace
+
+        import markov_morse.harness as harness
+        from markov_morse import build_mvf
+        from markov_morse.dynamics import MorseSet
+
+        cut_at = []
+
+        def splitting(P):
+            F = run_filtration(P)
+            last = F.stages[-1]
+            v = next(v for v in build_mvf(F.complex, P, last.gamma).multivectors if len(v) > 1)
+            m = next(m for m in last.morse_sets if v <= m.cells)
+            c = max(v)  # never m's label, the smallest of m's cells
+            sets = [s for s in last.morse_sets if s is not m]
+            sets += [MorseSet(m.label, m.cells - {c}), MorseSet(c, frozenset({c}))]
+            cut_at.append(last.gamma)
+            split = replace(last, morse_sets=tuple(sorted(sets, key=lambda s: s.label)))
+            return replace(F, stages=(*F.stages[:-1], split))
+
+        monkeypatch.setattr(harness, "run_filtration", splitting)
+        report = property_trials(RandomChainSpec(n=5, seed=2), 1)
+        assert any(
+            "straddling Morse sets" in f and f.endswith(f"at gamma={cut_at[0]}") for f in report.failures
+        )
+        # every other stage passes: one fewer than the stages, as many as the stage pairs
+        assert report.checks["valid_field"] == report.checks["coarsening"]
+
     def test_negative_seed_rejected(self):
         # the spec carries the seed, so it is refused before any trial runs
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
