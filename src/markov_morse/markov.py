@@ -44,7 +44,10 @@ class TransitionMatrix:
     __slots__ = ("states", "entries")
 
     def __init__(self, entries, states: tuple[str, ...] | None = None):
-        arr = np.array(entries, dtype=float)
+        try:
+            arr = np.array(entries, dtype=float)
+        except OverflowError:
+            raise MatrixValidationError("matrix has an entry too large for a float") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixValidationError(f"matrix must be square, got shape {arr.shape}")
         n = arr.shape[0]

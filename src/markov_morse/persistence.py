@@ -280,11 +280,16 @@ def diagram_to_json(D: PersistenceDiagram) -> str:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
@@ -306,8 +311,8 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
             raise ValueError(f"point {k}: birth must be a finite number, got {birth!r}")
         if death != "inf" and not _is_number(death):
             raise ValueError(f'point {k}: death must be a finite number or "inf", got {death!r}')
-        if not (isinstance(index, list) and len(index) == 2 and all(map(_is_int, index))):
-            raise ValueError(f"point {k}: index must be a pair of ints, got {index!r}")
+        if not (isinstance(index, list) and len(index) == 2 and all(map(_is_count, index))):
+            raise ValueError(f"point {k}: index must be a pair of ints >= 0, got {index!r}")
         death = math.inf if death == "inf" else float(death)
         points.append(PersistencePoint(float(birth), death, TopologicalIndex(*index)))
     return PersistenceDiagram(tuple(points), ThresholdGrid(tuple(map(float, grid))))

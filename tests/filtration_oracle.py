@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 from markov_morse.cells import StateComplex, build_complex
 from markov_morse.dynamics import MorseSet, build_mgraph, morse_sets
-from markov_morse.homology import TopologicalIndex, topological_index
+from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, TransitionMatrix, threshold_grid
 from markov_morse.mvf import MultivectorField, build_mvf
 from markov_morse.persistence import PersistenceDiagram, PersistencePoint, containment_map
+
+from components_oracle import index_by_components
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
         fld = build_mvf(X, P, gamma)
         G = build_mgraph(fld, X)
         sets = morse_sets(G, fld)
-        index_of = {m.label: topological_index(X, m) for m in sets}
+        index_of = {m.label: index_by_components(X, m.cells) for m in sets}
         stages.append(Stage(gamma, fld, sets, index_of))
     return FiltrationResult(grid, X, tuple(stages))
 

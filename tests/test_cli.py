@@ -228,6 +228,32 @@ class TestExitCodes:
         assert code == 2
         assert "row" in err
 
+    def test_matrix_entry_beyond_float_range(self, capsys, tmp_path):
+        bad = tmp_path / "m.json"
+        bad.write_text('{"matrix": [[%d]]}' % 10**401)
+        code, out, err = run(capsys, "thresholds", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "too large for a float" in err
+
+    @pytest.mark.parametrize(
+        "grid, point, message",
+        [
+            ([0.0], {"birth": 10**401}, "point 0: birth must be a finite number"),
+            ([0.0, 10**401], {}, "grid must be a list of finite numbers"),
+            ([0.0], {"index": [-1, 0]}, "point 0: index must be a pair of ints >= 0"),
+        ],
+        ids=["huge_birth", "huge_grid_value", "negative_index"],
+    )
+    def test_out_of_range_diagram_field(self, capsys, tmp_path, grid, point, message):
+        bad = tmp_path / "d.json"
+        fields = {"birth": 0.0, "death": "inf", "index": [0, 0], **point}
+        bad.write_text(json.dumps({"grid": grid, "points": [fields]}))
+        code, out, err = run(capsys, "bottleneck", str(bad), str(bad))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1

@@ -22,9 +22,14 @@ from markov_morse import (
     run_filtration,
 )
 from markov_morse import persistence
+from markov_morse.cells import closure
+from markov_morse.dynamics import build_mgraph, morse_sets
 from markov_morse.homology import topological_index
 from markov_morse.mvf import build_mvf, is_coarsening
 from markov_morse.persistence import containment_map
+
+from components_oracle import _components, index_by_components
+from gf2_oracle import betti_by_rank
 
 SIZES = range(1, 13)
 SEEDS = range(15)
@@ -137,6 +142,26 @@ def test_property_coarsening_and_containment(weights):
         # both partition the cells, so this makes each set a union of multivectors
         for m in stage.morse_sets:
             assert all(v <= m.cells for v in fld.multivectors if v & m.cells)
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_rows)
+def test_property_morse_set_closures_are_connected(weights):
+    # the premise of the library's count formula: on every set the sweep
+    # indexes and every set the static `morse_sets` gives at the stage
+    # gammas, one component, and the counts agree with components and GF(2)
+    P = weighted_chain(weights)
+    F = run_filtration(P)
+    X = F.complex
+    static = []
+    for stage in F.stages:
+        fld = build_mvf(X, P, stage.gamma)
+        static.extend(morse_sets(build_mgraph(fld, X), fld))
+    swept = [m for stage in F.stages for m in stage.morse_sets]
+    for m in swept + static:
+        assert _components(X, m.cells).components == 1
+        gf2 = (betti_by_rank(X, closure(X, m.cells))[1], betti_by_rank(X, m.cells)[1])
+        assert topological_index(X, m) == index_by_components(X, m.cells) == gf2
 
 
 class TestIncremental:

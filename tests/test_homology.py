@@ -14,8 +14,9 @@ from markov_morse import (
     topological_index,
 )
 from markov_morse.cells import closure
-from markov_morse.homology import TopologicalIndex, conley_index_dims, homology_dims, is_critical
+from markov_morse.homology import TopologicalIndex
 
+from components_oracle import conley_index_dims, homology_dims, is_critical
 from conftest import WORKED_COMPLEX
 from gf2_oracle import Gf2Matrix, betti_by_rank, boundary_matrix, rank_gf2
 

@@ -106,6 +106,13 @@ class TestParsing:
             TransitionMatrix([[1.5, 0.0], [0.5, 0.5]])  # row sum also off, bounds first
             # (bounds are checked before row sums)
 
+    @pytest.mark.parametrize("value", [10**401, -(10**401)], ids=["huge", "huge_negative"])
+    def test_entry_beyond_float_range(self, value):
+        with pytest.raises(MatrixValidationError, match="matrix has an entry too large for a float"):
+            TransitionMatrix([[value]])
+        with pytest.raises(MatrixValidationError, match="matrix has an entry too large for a float"):
+            parse_matrix('{"matrix": [[%d]]}' % value, "json")
+
     def test_duplicate_labels(self):
         with pytest.raises(MatrixValidationError, match="distinct"):
             TransitionMatrix([[0.5, 0.5], [0.5, 0.5]], ("A", "A"))

@@ -235,7 +235,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 any_diagram = st.builds(
     PersistenceDiagram,
     st.lists(
-        st.tuples(finite, finite | st.just(INF), st.integers(-2, 3), st.integers(-2, 3))
+        st.tuples(finite, finite | st.just(INF), st.integers(0, 3), st.integers(0, 3))
         .filter(lambda t: t[1] > t[0])
         .map(lambda t: pt(*t)),
         max_size=6,
@@ -288,22 +288,28 @@ class TestDiagramJson:
         D = diagram_from_json(self.one_point())
         assert D.points == (pt(0.0, INF, 0, 0),)
 
-    @pytest.mark.parametrize("index", [[0], [0, 0, 0], [0, 1.0], [0, "1"], [True, 0], None, 3])
+    @pytest.mark.parametrize("index", [[0], [0, 0, 0], [0, 1.0], [0, "1"], [True, 0], None, 3, [-1, 0], [0, -1]])
     def test_bad_index(self, index):
         with pytest.raises(ValueError, match="point 0: index must be a pair of ints"):
             diagram_from_json(self.one_point(index=index))
 
-    @pytest.mark.parametrize("birth", ["0.1", None, [0.1], True, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "birth", ["0.1", None, [0.1], True, float("nan"), float("inf"), pytest.param(-(10**401), id="huge_int")]
+    )
     def test_bad_birth(self, birth):
         with pytest.raises(ValueError, match="point 0: birth must be a finite number"):
             diagram_from_json(self.one_point(birth=birth))
 
-    @pytest.mark.parametrize("death", ["0.5", "Infinity", None, [0.5], False, float("nan")])
+    @pytest.mark.parametrize(
+        "death", ["0.5", "Infinity", None, [0.5], False, float("nan"), pytest.param(10**401, id="huge_int")]
+    )
     def test_bad_death(self, death):
         with pytest.raises(ValueError, match="point 0: death must be a finite number or \"inf\""):
             diagram_from_json(self.one_point(death=death))
 
-    @pytest.mark.parametrize("grid", [None, 0.0, [[0.0]], ["0.0"], [0.0, float("nan")]])
+    @pytest.mark.parametrize(
+        "grid", [None, 0.0, [[0.0]], ["0.0"], [0.0, float("nan")], pytest.param([0.0, 10**401], id="huge_int")]
+    )
     def test_bad_grid(self, grid):
         with pytest.raises(ValueError, match="grid must be a list of finite numbers"):
             diagram_from_json(json.dumps({"grid": grid, "points": []}))
