@@ -15,7 +15,7 @@ dynamics, homology) are imported from their own modules.
 
 from .bottleneck import bottleneck_distance, bottleneck_matching
 from .cells import build_complex, format_cell
-from .dynamics import build_mgraph, morse_order, morse_sets
+from .dynamics import morse_order, morse_sets
 from .harness import RandomChainSpec, property_trials, random_chain, stability_trials
 from .homology import topological_index
 from .markov import (
@@ -48,7 +48,6 @@ __all__ = [
     "bottleneck_matching",
     "build_complex",
     "build_diagram",
-    "build_mgraph",
     "build_mvf",
     "diagram_from_json",
     "diagram_to_json",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bottleneck import bottleneck_matching
 from .cells import build_complex, format_cell
-from .dynamics import build_mgraph, morse_order, morse_sets
+from .dynamics import morse_order, morse_sets
 from .harness import RandomChainSpec, property_trials, stability_trials
 from .homology import topological_index
 from .markov import MatrixError, TransitionMatrix, parse_matrix, threshold_grid
@@ -117,10 +117,8 @@ def _cmd_mvf(args) -> int:
 def _cmd_morse(args) -> int:
     P = _load_matrix(args.matrix)
     X = build_complex(P)
-    fld = build_mvf(X, P, args.gamma)
-    G = build_mgraph(fld, X)
-    sets = morse_sets(G, fld)
-    order = morse_order(G, sets)
+    sets = morse_sets(X, P, args.gamma)
+    order = morse_order(X, sets)
     _emit(
         {
             "gamma": args.gamma,

@@ -1,12 +1,23 @@
-"""Coarse dynamics of a multivector field: the M-graph and its Morse sets.
+"""Coarse dynamics at one threshold: the Morse sets and their order.
 
-The field induces a multivalued map sending a cell x to its multivector
-together with the closure of x. On the level of multivectors this collapses
-to a finite digraph (the M-graph): an arc V -> W between distinct
-multivectors exists exactly when W meets the mouth of V, and every node
-carries a self-loop. Strongly connected components are the Morse sets;
-reachability between components gives the partial order used to read the
-global structure.
+The multivector field at gamma (`mvf.build_mvf`) induces a multivalued map
+sending a cell x to its multivector together with the closure of x. On the
+level of multivectors this collapses to the M-graph: an arc V -> W between
+distinct multivectors exists exactly when W meets the mouth of V. Its
+strongly connected components are the Morse sets, and reachability between
+them is the order used to read the global structure.
+
+Neither the field nor the M-graph is built here. On a 1-complex the mouth
+of V is the set of endpoints of V's edges that lie outside V, so the arcs
+of the M-graph are [e] -> [v] for every edge e and endpoint v. Take instead
+the cell digraph: e -> v for every incidence, and v -> e when the
+probability of leaving v along e is <= gamma, which is exactly when
+`build_mvf` merges v into e's multivector. Each merge is then the 2-cycle
+v <-> e, so every multivector is strongly connected in the cell digraph,
+and every arc between two multivectors is an incidence e -> v. Contracting
+the multivectors therefore gives the M-graph, and the cell digraph has the
+same SCCs: the Morse sets. A v -> e arc never leaves its SCC, so the
+condensation DAG is read off the incidences alone.
 """
 
 from __future__ import annotations
@@ -14,72 +25,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import StateComplex
-from .mvf import MultivectorField
-
-
-@dataclass(frozen=True)
-class MGraph:
-    """Digraph on multivector labels; arcs include all self-loops."""
-
-    nodes: tuple[int, ...]
-    arcs: frozenset[tuple[int, int]]
-
-
-def build_mgraph(V: MultivectorField, X: StateComplex) -> MGraph:
-    """Arc V -> W (V != W) iff W intersects mouth(V); self-loops everywhere.
-
-    On a 1-complex a vertex has no proper faces, so the mouth of V is the
-    set of endpoints of V's edges that lie outside V. One pass over the
-    edges therefore finds every arc: edge e and its endpoint v give the arc
-    [e] -> [v], which is a self-loop exactly when v lies in e's multivector.
-    """
-    label_of = V.label_of
-    nodes = tuple(min(v) for v in V.multivectors)
-    arcs = {(u, u) for u in nodes}
-    for e, (i, j) in enumerate(X.edges, start=X.n):  # states i, j are cells i - 1, j - 1
-        u = label_of[e]
-        arcs.add((u, label_of[i - 1]))
-        arcs.add((u, label_of[j - 1]))
-    return MGraph(nodes, frozenset(arcs))
+from .markov import TransitionMatrix
+from .mvf import check_gamma
 
 
 @dataclass(frozen=True)
 class MorseSet:
-    """Union of the multivectors in one SCC of the M-graph."""
+    """One SCC of the cell digraph, labelled by its smallest cell."""
 
     label: int
     cells: frozenset[int]
 
 
-def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as lists of nodes."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan on the nodes 0..len(adj)-1; returns SCCs as lists of nodes."""
+    index = [-1] * len(adj)
+    low = [0] * len(adj)
+    on_stack = [False] * len(adj)
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    for root in nodes:
-        if root in index:
+    for root in range(len(adj)):
+        if index[root] >= 0:
             continue
         work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for succ in it:
-                if succ not in index:
+                if index[succ] < 0:
                     index[succ] = low[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
+                    on_stack[succ] = True
                     work.append((succ, iter(adj[succ])))
                     advanced = True
                     break
-                if succ in on_stack:
+                if on_stack[succ]:
                     low[node] = min(low[node], index[succ])
             if advanced:
                 continue
@@ -91,7 +77,7 @@ def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == node:
                         break
@@ -99,21 +85,44 @@ def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[
     return sccs
 
 
-def morse_sets(G: MGraph, V: MultivectorField) -> tuple[MorseSet, ...]:
-    """Every SCC of the M-graph as a Morse set, sorted by label.
+def morse_sets(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[MorseSet, ...]:
+    """The Morse sets at threshold gamma: the SCCs of the cell digraph, sorted by label.
 
-    Self-loops make each node trivially recurrent, so singleton SCCs count:
-    the Morse sets partition all cells of the complex.
+    Singleton SCCs count, so the Morse sets partition all cells of X.
     """
-    adj: dict[int, list[int]] = {u: [] for u in G.nodes}
-    for u, w in G.arcs:
-        adj[u].append(w)
-    by_label = {min(v): v for v in V.multivectors}
-    sets = [
-        MorseSet(label=min(comp), cells=frozenset().union(*(by_label[u] for u in comp)))
-        for comp in _tarjan_scc(G.nodes, adj)
-    ]
+    check_gamma(gamma)
+    rows = P.entries.tolist()
+    adj: list[list[int]] = [[] for _ in X.cells()]
+    for e, (i, j) in enumerate(X.edges, start=X.n):
+        for v, w in ((i - 1, j - 1), (j - 1, i - 1)):  # cells of states i, j
+            adj[e].append(v)
+            if rows[v][w] <= gamma:
+                adj[v].append(e)
+    sets = [MorseSet(min(comp), frozenset(comp)) for comp in _tarjan_scc(adj)]
     return tuple(sorted(sets, key=lambda m: m.label))
+
+
+def _condensation(X: StateComplex, sets: tuple[MorseSet, ...]) -> dict[int, set[int]]:
+    """The condensation DAG of the cell digraph: set label -> labels one incidence below."""
+    set_of = {c: m.label for m in sets for c in m.cells}
+    dag: dict[int, set[int]] = {m.label: set() for m in sets}
+    for e, (i, j) in enumerate(X.edges, start=X.n):
+        for v in (i - 1, j - 1):
+            if set_of[e] != set_of[v]:
+                dag[set_of[e]].add(set_of[v])
+    return dag
+
+
+def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
+    """Nodes reachable from start along arcs, staying inside `within` if given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in arcs[stack.pop()]:
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -133,36 +142,8 @@ class MorseOrder:
         return sorted(self.relations)
 
 
-def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
-    """Condense the M-graph and take transitive reachability between SCCs."""
-    set_of = {c: m.label for m in sets for c in m.cells}  # arc ends are labels, so cells
-    dag: dict[int, set[int]] = {m.label: set() for m in sets}
-    for u, w in G.arcs:
-        su, sw = set_of[u], set_of[w]
-        if su != sw:
-            dag[su].add(sw)
-
-    # Kahn order, then accumulate reachability bottom-up (sinks first).
-    indegree = {lbl: 0 for lbl in dag}
-    for succs in dag.values():
-        for w in succs:
-            indegree[w] += 1
-    queue = [lbl for lbl, d in indegree.items() if d == 0]
-    topo = []
-    while queue:
-        u = queue.pop()
-        topo.append(u)
-        for w in dag[u]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    reach: dict[int, set[int]] = {}
-    for u in reversed(topo):
-        acc: set[int] = set()
-        for w in dag[u]:
-            acc.add(w)
-            acc |= reach[w]
-        reach[u] = acc
-
-    relations = {(u, below) for u, acc in reach.items() for below in acc}
+def morse_order(X: StateComplex, sets: tuple[MorseSet, ...]) -> MorseOrder:
+    """Strict reachability between the Morse sets `morse_sets` gives for X."""
+    dag = _condensation(X, sets)
+    relations = {(u, w) for u in dag for w in _reach(u, dag) if w != u}
     return MorseOrder(tuple(m.label for m in sets), frozenset(relations))

@@ -54,6 +54,12 @@ class MultivectorField:
         return len(self.multivectors)
 
 
+def check_gamma(gamma: float) -> None:
+    """Refuse a threshold that is not a finite number >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+
+
 def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> MultivectorField:
     """Partition X's cells at threshold gamma.
 
@@ -64,8 +70,7 @@ def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> Multivector
     by union-find. On a 1-complex every part is locally closed, so the
     result is always a valid field.
     """
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
+    check_gamma(gamma)
     dsu = DisjointSet(X.cell_count)
     for e, (i, j) in enumerate(X.edges, start=X.n):
         if P.prob(i, j) <= gamma:

@@ -3,18 +3,20 @@
 Raising gamma past an entry p_ij merges vertex i into the multivector of an
 incident edge e, so the fields over the grid form a coarsening chain and
 each Morse set at one stage sits inside exactly one Morse set at the next.
-`run_filtration` sweeps the grid once: the directed entries are sorted, and
-at each grid value every entry <= gamma is applied to one union-find of
-cells before the stage is emitted (zero entries before the first stage).
+`run_filtration` sweeps the grid once. It starts from `morse_sets` at the
+first grid value, which also gives the condensation DAG of the cell
+digraph; then the directed entries are sorted, and at each grid value every
+entry <= gamma is applied before the stage is emitted. Entries at or below
+the first grid value are already inside a Morse set and change nothing.
 Every multivector lies inside one Morse set, so only the sets are kept; the
 field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
 
-The Morse sets are kept as the condensation DAG of the M-graph. A union
-adds no arc: it only identifies the nodes [e] and [v], and the arc
-[e] -> [v] exists already. So the sets that become one are exactly those on
-a path SCC([e]) ~> W ~> SCC([v]): a forward search from SCC([e]) intersected
-with a backward search from SCC([v]). They are contracted into one node;
-every other set, its index and its track carry over unchanged.
+Applying the entry of vertex v and edge e adds the arc v -> e to the cell
+digraph (see `dynamics`), and the arc e -> v exists already. So the sets
+that become one are exactly those on a path SCC(e) ~> W ~> SCC(v): a
+forward search from SCC(e) intersected with a backward search from SCC(v).
+They are contracted into one node; every other set, its index and its
+track carry over unchanged.
 
 Tracks follow these contractions. A track dies when its decoration stops
 matching its containing set's (index-change death) or when an older or
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet
+from .dynamics import MorseSet, _condensation, _reach, morse_sets
 from .homology import TopologicalIndex, topological_index
 from .markov import ThresholdGrid, TransitionMatrix, threshold_grid
 from .unionfind import DisjointSet
@@ -60,39 +62,28 @@ class FiltrationResult:
     stages: tuple[Stage, ...]
 
 
-def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
-    """Nodes reachable from start along arcs, staying inside `within` if given."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in arcs[stack.pop()]:
-            if w not in seen and (within is None or w in within):
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 class _Sweep:
-    """The Morse-set DAG, coarsened one union at a time.
+    """The condensation DAG of the cell digraph, coarsened one arc v -> e at a time.
 
     The union-find keeps the smallest cell of each set as its root, so a
     find is a label.
     """
 
-    def __init__(self, X: StateComplex):
-        cells = range(X.cell_count)
+    def __init__(self, X: StateComplex, sets: tuple[MorseSet, ...]):
         self.set_uf = DisjointSet(X.cell_count)
-        self.morse = {c: MorseSet(c, frozenset((c,))) for c in cells}
-        self.succ: dict[int, set[int]] = {c: set() for c in cells}
-        self.pred: dict[int, set[int]] = {c: set() for c in cells}
-        for e, (i, j) in enumerate(X.edges, start=X.n):
-            for v in (i - 1, j - 1):
-                self.succ[e].add(v)
-                self.pred[v].add(e)
+        self.morse = {m.label: m for m in sets}
+        for m in sets:
+            for c in m.cells - {m.label}:
+                self.set_uf.link(m.label, c)
+        self.succ = _condensation(X, sets)
+        self.pred: dict[int, set[int]] = {s: set() for s in self.succ}
+        for s, below in self.succ.items():
+            for w in below:
+                self.pred[w].add(s)
         self.born: dict[int, list[int]] = {}  # set label -> previous-stage labels
 
     def join(self, v: int, e: int) -> None:
-        """Merge vertex v into the multivector of edge e (a no-op if they share a Morse set)."""
+        """Add the arc v -> e (a no-op if v and e share a Morse set)."""
         top, bottom = self.set_uf.find(e), self.set_uf.find(v)
         if top != bottom:
             # every set on a path top ~> bottom: a node that reaches bottom
@@ -130,7 +121,7 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
         for e, (i, j) in enumerate(X.edges, start=X.n)
         for a, b in ((i, j), (j, i))
     )
-    sweep = _Sweep(X)
+    sweep = _Sweep(X, morse_sets(X, P, grid[0]))
     stages: list[Stage] = []
     index_of: dict[int, TopologicalIndex] = {}
     k = 0

@@ -3,7 +3,8 @@
 The library sweeps the threshold grid once, applying each entry's union as
 gamma passes it and contracting only the Morse sets a union joins. This
 module keeps the direct definition it replaced: at each grid value, build
-the field, the M-graph and its SCCs anew and index every Morse set; then
+the field, its M-graph (one mouth per multivector) and the M-graph's SCCs
+anew, all from `mgraph_oracle`, and index every Morse set; then
 extract the diagram by regrouping every live track through
 `containment_map` at every stage. The tests compare the two stage by stage
 and diagram by diagram.
@@ -15,13 +16,14 @@ import math
 from dataclasses import dataclass, field
 
 from markov_morse.cells import StateComplex, build_complex
-from markov_morse.dynamics import MorseSet, build_mgraph, morse_sets
+from markov_morse.dynamics import MorseSet
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, TransitionMatrix, threshold_grid
 from markov_morse.mvf import MultivectorField, build_mvf
 from markov_morse.persistence import PersistenceDiagram, PersistencePoint, containment_map
 
 from components_oracle import index_by_components
+from mgraph_oracle import mgraph_by_mouths, morse_sets
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     stages = []
     for gamma in grid:
         fld = build_mvf(X, P, gamma)
-        G = build_mgraph(fld, X)
-        sets = morse_sets(G, fld)
+        sets = morse_sets(mgraph_by_mouths(fld, X), fld)
         index_of = {m.label: index_by_components(X, m.cells) for m in sets}
         stages.append(Stage(gamma, fld, sets, index_of))
     return FiltrationResult(grid, X, tuple(stages))

@@ -127,6 +127,18 @@ class TestBottleneck:
         assert all(len(p) == 2 for p in pairs)
 
 
+    def test_shrunk_stability_counterexample(self, capsys, tmp_path):
+        # TestShrunkStabilityCounterexample in test_harness.py: Q is P with
+        # p21 += 0.02 compensated on the diagonal, and d_B exceeds that edit
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        p.write_text("# N1,N2,N3,N4\n0.98,0,0.02,0\n0.003,0.297,0.4,0.3\n0.2,0.4,0.4,0\n0.2,0.3,0,0.5\n")
+        q.write_text(
+            "# N1,N2,N3,N4\n0.98,0,0.02,0\n0.023,0.27699999999999997,0.4,0.3\n0.2,0.4,0.4,0\n0.2,0.3,0,0.5\n"
+        )
+        code, out, _ = run(capsys, "bottleneck", str(p), str(q))
+        assert code == 0
+        assert repr(json.loads(out)["distance"]) == "0.023"
+
     def test_duplicate_points_get_their_own_ids(self, capsys, tmp_path):
         point = {"birth": 0.0, "death": 1.0, "index": [0, 0]}
         twice, once = tmp_path / "twice.json", tmp_path / "once.json"
@@ -267,7 +279,7 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize("command", ["mvf", "morse"])
-    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
     def test_non_finite_gamma(self, capsys, matrix_file, command, gamma):
         code, out, err = run(capsys, command, matrix_file, "--gamma", gamma)
         assert code == 2

@@ -1,13 +1,18 @@
-"""The induced map, M-graph arcs, Morse sets (SCCs), and the Morse order."""
+"""The induced map, M-graph arcs, Morse sets (SCCs), and the Morse order.
+
+The library finds Morse sets as SCCs of a digraph on cells; the M-graph on
+multivectors that it replaced lives in `tests/mgraph_oracle.py`, and the
+tests below compare the two.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from markov_morse import (
     RandomChainSpec,
     build_complex,
-    build_mgraph,
     build_mvf,
     morse_order,
     morse_sets,
@@ -17,7 +22,9 @@ from markov_morse import (
 from markov_morse.cells import mouth
 
 from conftest import WORKED_COMPLEX
-from mgraph_oracle import mgraph_by_mouths, pi_map
+import mgraph_oracle as oracle
+from mgraph_oracle import build_mgraph, mgraph_by_mouths, pi_map
+from test_event_sweep import weight_rows, weighted_chain
 from test_frozen_diagrams import specs as frozen_specs
 
 V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
@@ -29,6 +36,29 @@ def field_at(worked_matrix, worked_complex):
         return build_mvf(worked_complex, worked_matrix, gamma)
 
     return make
+
+
+def probe_gammas(P):
+    """Every grid value, every midpoint between two, and one value above the last."""
+    grid = list(threshold_grid(P))
+    return grid + [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1.0]
+
+
+def assert_matches_mgraph_oracle(P, where=""):
+    """At every probe gamma, the library's Morse sets and order are those of
+    the oracle's M-graph; returns the probe and proper-arc counts."""
+    X = build_complex(P)
+    probes = proper = 0
+    for gamma in probe_gammas(P):
+        fld = build_mvf(X, P, gamma)
+        G = mgraph_by_mouths(fld, X)
+        assert build_mgraph(fld, X) == G
+        sets = morse_sets(X, P, gamma)
+        assert sets == oracle.morse_sets(G, fld), f"{where} at gamma={gamma}"
+        assert morse_order(X, sets).pairs() == oracle.morse_order(G, sets).pairs(), f"{where} at gamma={gamma}"
+        probes += 1
+        proper += sum(u != w for u, w in G.arcs)
+    return probes, proper
 
 
 class TestPiMap:
@@ -97,24 +127,24 @@ class TestMGraph:
                     assert ((min(vec), min(other)) in G.arcs) == expected
 
     def test_edge_list_arcs_match_the_mouth_oracle(self):
-        # every grid value of the 216 chains frozen in frozen_diagrams.json
-        stages = proper = 0
+        # the 216 chains frozen in frozen_diagrams.json, on and between the grid
+        probes = proper = 0
         for spec in frozen_specs():
-            P = random_chain(spec)
-            X = build_complex(P)
-            for gamma in threshold_grid(P):
-                fld = build_mvf(X, P, gamma)
-                G = build_mgraph(fld, X)
-                assert G == mgraph_by_mouths(fld, X), f"{spec} at gamma={gamma}"
-                stages += 1
-                proper += sum(u != w for u, w in G.arcs)
-        assert stages > 4000 and proper > 40000
+            counts = assert_matches_mgraph_oracle(random_chain(spec), spec)
+            probes, proper = probes + counts[0], proper + counts[1]
+        assert probes > 8000 and proper > 80000
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_rows)
+def test_property_morse_sets_and_order_match_the_mgraph_oracle(weights):
+    # small integer weights: ties and zero entries are the common case
+    assert_matches_mgraph_oracle(weighted_chain(weights))
 
 
 class TestMorseSets:
-    def test_base_stage_every_singleton_counts(self, field_at, worked_complex):
-        fld = field_at(0.0)
-        sets = morse_sets(build_mgraph(fld, worked_complex), fld)
+    def test_base_stage_every_singleton_counts(self, worked_matrix, worked_complex):
+        sets = morse_sets(worked_complex, worked_matrix, 0.0)
         assert [m.cells for m in sets] == [
             frozenset({V(1)}),
             frozenset({V(2)}),
@@ -124,9 +154,8 @@ class TestMorseSets:
             frozenset({E(2, 3)}),
         ]
 
-    def test_gamma_015_sets(self, field_at, worked_complex):
-        fld = field_at(0.15)
-        sets = morse_sets(build_mgraph(fld, worked_complex), fld)
+    def test_gamma_015_sets(self, worked_matrix, worked_complex):
+        sets = morse_sets(worked_complex, worked_matrix, 0.15)
         assert {m.cells for m in sets} == {
             frozenset({V(1)}),
             frozenset({V(2)}),
@@ -136,8 +165,7 @@ class TestMorseSets:
 
     def test_morse_sets_partition_cells(self, worked_matrix, worked_complex):
         for gamma in threshold_grid(worked_matrix):
-            fld = build_mvf(worked_complex, worked_matrix, gamma)
-            sets = morse_sets(build_mgraph(fld, worked_complex), fld)
+            sets = morse_sets(worked_complex, worked_matrix, gamma)
             seen = [c for m in sets for c in m.cells]
             assert len(seen) == len(set(seen)) == worked_complex.cell_count
 
@@ -150,22 +178,19 @@ class TestMorseSets:
         X = build_complex(P)
         fld = build_mvf(X, P, 0.5)
         assert len(fld) == 1  # everything merged already
-        sets = morse_sets(build_mgraph(fld, X), fld)
+        sets = morse_sets(X, P, 0.5)
         assert len(sets) == 1
         assert sets[0].cells == frozenset(X.cells())
 
-    def test_labels_are_minimal_cells(self, field_at, worked_complex):
-        fld = field_at(0.15)
-        sets = morse_sets(build_mgraph(fld, worked_complex), fld)
+    def test_labels_are_minimal_cells(self, worked_matrix, worked_complex):
+        sets = morse_sets(worked_complex, worked_matrix, 0.15)
         for m in sets:
             assert m.label == min(m.cells)
 
 
 class TestMorseOrder:
-    def test_base_stage_order(self, field_at, worked_complex):
-        fld = field_at(0.0)
-        G = build_mgraph(fld, worked_complex)
-        order = morse_order(G, morse_sets(G, fld))
+    def test_base_stage_order(self, worked_matrix, worked_complex):
+        order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.0))
         assert set(order.pairs()) == {
             (E(1, 2), V(1)),
             (E(1, 2), V(2)),
@@ -175,10 +200,8 @@ class TestMorseOrder:
             (E(2, 3), V(3)),
         }
 
-    def test_gamma_015_order(self, field_at, worked_complex):
-        fld = field_at(0.15)
-        G = build_mgraph(fld, worked_complex)
-        order = morse_order(G, morse_sets(G, fld))
+    def test_gamma_015_order(self, worked_matrix, worked_complex):
+        order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.15))
         assert set(order.pairs()) == {
             (E(1, 2), V(1)),
             (E(1, 2), V(2)),
@@ -186,10 +209,8 @@ class TestMorseOrder:
             (V(3), V(2)),
         }
 
-    def test_ge_is_reflexive(self, field_at, worked_complex):
-        fld = field_at(0.15)
-        G = build_mgraph(fld, worked_complex)
-        order = morse_order(G, morse_sets(G, fld))
+    def test_ge_is_reflexive(self, worked_matrix, worked_complex):
+        order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.15))
         for lbl in order.labels:
             assert order.ge(lbl, lbl)
 
@@ -200,10 +221,8 @@ class TestMorseOrder:
             P = random_chain(spec)
             X = build_complex(P)
             for gamma in list(threshold_grid(P))[:: max(1, spec.n - 2)]:
-                fld = build_mvf(X, P, gamma)
-                G = build_mgraph(fld, X)
-                sets = morse_sets(G, fld)
-                order = morse_order(G, sets)
+                sets = morse_sets(X, P, gamma)
+                order = morse_order(X, sets)
                 rel = set(order.pairs())
                 for a, b in rel:
                     assert (b, a) not in rel, "antisymmetry"
@@ -215,10 +234,8 @@ class TestMorseOrder:
     def test_mouth_sits_below(self, worked_matrix, worked_complex):
         # anything a Morse set spills onto is a smaller Morse set
         for gamma in threshold_grid(worked_matrix):
-            fld = build_mvf(worked_complex, worked_matrix, gamma)
-            G = build_mgraph(fld, worked_complex)
-            sets = morse_sets(G, fld)
-            order = morse_order(G, sets)
+            sets = morse_sets(worked_complex, worked_matrix, gamma)
+            order = morse_order(worked_complex, sets)
             owner = {}
             for m in sets:
                 for c in m.cells:
@@ -226,3 +243,4 @@ class TestMorseOrder:
             for m in sets:
                 for c in mouth(worked_complex, m.cells):
                     assert order.ge(m.label, owner[c])
+

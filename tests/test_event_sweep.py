@@ -23,7 +23,7 @@ from markov_morse import (
 )
 from markov_morse import persistence
 from markov_morse.cells import closure
-from markov_morse.dynamics import build_mgraph, morse_sets
+from markov_morse.dynamics import morse_sets
 from markov_morse.homology import topological_index
 from markov_morse.mvf import build_mvf, is_coarsening
 from markov_morse.persistence import containment_map
@@ -155,8 +155,7 @@ def test_property_morse_set_closures_are_connected(weights):
     X = F.complex
     static = []
     for stage in F.stages:
-        fld = build_mvf(X, P, stage.gamma)
-        static.extend(morse_sets(build_mgraph(fld, X), fld))
+        static.extend(morse_sets(X, P, stage.gamma))
     swept = [m for stage in F.stages for m in stage.morse_sets]
     for m in swept + static:
         assert _components(X, m.cells).components == 1

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from markov_morse import (
+    PerturbationSpec,
     RandomChainSpec,
     TransitionMatrix,
     bottleneck_distance,
     build_diagram,
+    perturb,
     property_trials,
     random_chain,
     run_filtration,
@@ -17,7 +19,9 @@ from markov_morse import (
     threshold_grid,
 )
 from markov_morse.harness import MAX_STATES
+from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import MatrixValidationError, matrix_distance
+from markov_morse.persistence import PersistencePoint
 
 from conftest import WORKED_ROWS
 
@@ -280,3 +284,46 @@ class TestKnownStabilityCounterexample:
     def test_single_entry_bound(self):
         r = self.record()
         assert r.d_b <= r.bound
+
+
+class TestShrunkStabilityCounterexample:
+    """The smallest pair found by shrinking the n=8 chain above.
+
+    Dropping states and renormalising, moving off-diagonal entries onto the
+    diagonal and rounding, for as long as d_B > delta held, reached 4 states
+    and 8 nonzero off-diagonal entries, and no single further move keeps the
+    violation. The edit p21 += 0.02 turns the (0,1) set through N1-N2 into
+    index (0,2) at 0.02; both (0,1) tracks die there, and when N2 joins at
+    q21 = 0.023 the feature is born again and lives to 0.2. In P the same
+    track lives from 0 to 0.2, so that point moves by 0.023 against an edit
+    of 0.02: the excess is p21.
+    """
+
+    P = TransitionMatrix(
+        [
+            [0.98, 0.0, 0.02, 0.0],
+            [0.003, 0.297, 0.4, 0.3],
+            [0.2, 0.4, 0.4, 0.0],
+            [0.2, 0.3, 0.0, 0.5],
+        ]
+    )
+
+    def distances(self):
+        Q = perturb(self.P, PerturbationSpec(2, 1, 0.02))
+        D_P, D_Q = build_diagram(run_filtration(self.P)), build_diagram(run_filtration(Q))
+        return bottleneck_distance(D_P, D_Q), matrix_distance(self.P, Q).delta_inf, D_Q
+
+    def test_pinned_violation(self):
+        d_b, delta, D_Q = self.distances()
+        assert repr(d_b) == "0.023"
+        assert repr(delta) == "0.020000000000000018"
+        assert PersistencePoint(0.023, 0.2, TopologicalIndex(0, 1)) in D_Q.points  # the rebirth
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="index-change death followed by a rebirth of the same index: "
+        "the single-entry bound d_B <= delta does not hold for this track rule",
+    )
+    def test_single_entry_bound(self):
+        d_b, delta, _ = self.distances()
+        assert d_b <= delta

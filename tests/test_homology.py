@@ -8,7 +8,6 @@ import pytest
 from markov_morse import (
     TransitionMatrix,
     build_complex,
-    build_mgraph,
     build_mvf,
     morse_sets,
     topological_index,
@@ -120,11 +119,10 @@ class TestConleyIndexDims:
 
 class TestTopologicalIndex:
     def worked_sets(self, worked_matrix, worked_complex, gamma):
-        fld = build_mvf(worked_complex, worked_matrix, gamma)
-        return morse_sets(build_mgraph(fld, worked_complex), fld), fld
+        return morse_sets(worked_complex, worked_matrix, gamma)
 
     def test_base_stage_indices(self, worked_matrix, worked_complex):
-        sets, _ = self.worked_sets(worked_matrix, worked_complex, 0.0)
+        sets = self.worked_sets(worked_matrix, worked_complex, 0.0)
         by_label = {m.label: topological_index(worked_complex, m) for m in sets}
         assert by_label == {
             V(1): (0, 0),
@@ -136,18 +134,18 @@ class TestTopologicalIndex:
         }
 
     def test_gamma_017_indices(self, worked_matrix, worked_complex):
-        sets, _ = self.worked_sets(worked_matrix, worked_complex, 0.17)
+        sets = self.worked_sets(worked_matrix, worked_complex, 0.17)
         by_label = {m.label: topological_index(worked_complex, m) for m in sets}
         # {N1,N2,edge} is contractible with empty mouth; the other wraps
         # vertex 3 between two edges whose far endpoints fall in the mouth
         assert by_label == {V(1): (0, 0), V(3): (0, 1)}
 
     def test_whole_space_index(self, worked_matrix, worked_complex):
-        sets, _ = self.worked_sets(worked_matrix, worked_complex, 0.23)
+        sets = self.worked_sets(worked_matrix, worked_complex, 0.23)
         assert topological_index(worked_complex, sets[0]) == TopologicalIndex(1, 1)
 
     def test_index_is_a_named_pair(self, worked_matrix, worked_complex):
-        sets, _ = self.worked_sets(worked_matrix, worked_complex, 0.23)
+        sets = self.worked_sets(worked_matrix, worked_complex, 0.23)
         k = topological_index(worked_complex, sets[0])
         assert (k.h1, k.c1) == (1, 1)
         assert k == (1, 1)
