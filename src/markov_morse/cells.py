@@ -1,9 +1,11 @@
 """The state complex: a finite T0 space of vertices and edges.
 
 States become vertices; an unordered pair {i, j} becomes an edge cell as soon
-as either transition direction has positive probability. The Alexandroff
-closure of a cell set adds the endpoint vertices of its edges; the mouth is
-closure minus the set.
+as either transition direction has positive probability. A vertex has no
+proper faces, so the closure of a cell set adds only the endpoints of its
+edges, and its mouth (closure minus the set) holds vertices only. The
+library reads both off `endpoints` where it needs them; the general
+closure and mouth operators are a test oracle in `tests/cells_oracle.py`.
 
 Cells are plain ints, dense per complex: state k (1-based) is vertex k - 1,
 and the edge of rank r (from 0) in the lexicographic order of endpoint pairs
@@ -14,9 +16,8 @@ every label downstream. `format_cell` turns a cell back into state labels.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .markov import TransitionMatrix
@@ -46,24 +47,11 @@ class StateComplex:
         """All cells in canonical order."""
         return range(self.cell_count)
 
-    def __contains__(self, cell) -> bool:
-        return isinstance(cell, int) and 0 <= cell < self.cell_count
-
     def vertex(self, i: int) -> int:
         """The cell of state i (1-based)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"vertex index {i} outside 1..{self.n}")
         return i - 1
-
-    def edge(self, i: int, j: int) -> int:
-        """The cell of the edge {i, j}, in either endpoint order."""
-        if i == j:
-            raise ValueError("edge endpoints must differ")
-        pair = (min(i, j), max(i, j))
-        r = bisect_left(self.edges, pair)
-        if r == len(self.edges) or self.edges[r] != pair:
-            raise ValueError(f"edge {pair} is not in the complex")
-        return self.n + r
 
     def is_edge(self, cell: int) -> bool:
         return cell >= self.n
@@ -94,39 +82,3 @@ def build_complex(P: "TransitionMatrix") -> StateComplex:
         if P.prob(i, j) > 0.0 or P.prob(j, i) > 0.0
     )
     return StateComplex(n, edges)
-
-
-def _check_subset(X: StateComplex, A: Iterable[int]) -> frozenset[int]:
-    cells = frozenset(A)
-    for c in cells:
-        if c not in X:
-            raise ValueError(f"cell {c} is not in the complex")
-    return cells
-
-
-def closure(X: StateComplex, A: Iterable[int]) -> frozenset[int]:
-    """A plus the endpoint vertices of every edge in A."""
-    cells = _check_subset(X, A)
-    extra = [v for c in cells if X.is_edge(c) for v in X.endpoints(c)]
-    return cells | frozenset(extra)
-
-
-def mouth(X: StateComplex, A: Iterable[int]) -> frozenset[int]:
-    """closure(A) minus A."""
-    cells = _check_subset(X, A)
-    return closure(X, cells) - cells
-
-
-def is_closed(X: StateComplex, A: Iterable[int]) -> bool:
-    """True iff every edge of A has both endpoints in A."""
-    cells = _check_subset(X, A)
-    return all(v in cells for c in cells if X.is_edge(c) for v in X.endpoints(c))
-
-
-def is_locally_closed(X: StateComplex, A: Iterable[int]) -> bool:
-    """True iff mouth(A) is closed.
-
-    In a 1-dimensional complex the mouth consists of vertices only, so this
-    always holds; the check stays honest rather than assumed.
-    """
-    return is_closed(X, mouth(X, A))

@@ -58,7 +58,10 @@ def _load_diagram_or_matrix(path: str) -> PersistenceDiagram:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None
         if "points" in obj:
             return diagram_from_json(text)
         return build_diagram(run_filtration(parse_matrix(text, "json")))
@@ -106,9 +109,7 @@ def _cmd_mvf(args) -> int:
     _emit(
         {
             "gamma": args.gamma,
-            "multivectors": [
-                [format_cell(X, c, P.states) for c in sorted(v)] for v in fld.multivectors
-            ],
+            "multivectors": [[format_cell(X, c, P.states) for c in sorted(v)] for v in fld],
         }
     )
     return 0

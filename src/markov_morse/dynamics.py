@@ -127,16 +127,10 @@ def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
 
 @dataclass(frozen=True)
 class MorseOrder:
-    """Reachability order on Morse sets: above >= below.
-
-    relations holds the strict pairs (above, below); ge() adds reflexivity.
-    """
+    """Reachability order on Morse sets: relations holds the strict pairs (above, below)."""
 
     labels: tuple[int, ...]
     relations: frozenset[tuple[int, int]]
-
-    def ge(self, above: int, below: int) -> bool:
-        return above == below or (above, below) in self.relations
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.relations)

@@ -1,17 +1,18 @@
 """Empirical stability and invariant harness over random chains.
 
-Random row-stochastic matrices probe two things: that the pipeline's
-structural invariants (partition validity, coarsening, containment,
-diagram shape) hold on inputs nobody hand-picked, and whether the
-bottleneck distance between a chain's diagram and a perturbed chain's
-diagram stays within the bounds it is tested against: d_B at most the
-measured entrywise matrix distance for a single compensated edit, and
-strictly below l * delta for l edits capped by delta. These are checks, not
-theorems of this pipeline. The single-entry bound fails on some small
-chains: when a Morse set's index changes and later changes back, the track
-dies at the first change and the feature is born again at the second, and
-an edit that moves the second event moves the rebirth further than the
-edit. Trials report such violations with the matrices that reproduce them.
+Random row-stochastic matrices probe two things: that the sweep's stages
+agree with the static route (`morse_sets` and `topological_index` at the
+stage's gamma), nest by their lineage and give a well-shaped diagram on
+inputs nobody hand-picked, and whether the bottleneck distance between a
+chain's diagram and a perturbed chain's diagram stays within the bounds
+it is tested against: d_B at most the measured entrywise matrix distance
+for a single compensated edit, and strictly below l * delta for l edits
+capped by delta. These are checks, not theorems of this pipeline. Both
+bounds fail on some small chains: when a Morse set's index changes and
+later changes back, the track dies at the first change and the feature is
+born again at the second, and an edit that moves the second event moves
+the rebirth further than the edit. Trials report such violations with the
+matrices that reproduce them.
 Every sample is seed-deterministic.
 """
 
@@ -30,7 +31,8 @@ from .markov import (
     perturb,
     serialize_matrix,
 )
-from .mvf import build_mvf, is_coarsening, is_valid_mvf
+from .dynamics import morse_sets
+from .homology import topological_index
 from .persistence import build_diagram, containment_map, run_filtration
 
 # random_chain holds about three n x n float64 arrays at once (weights, mask
@@ -287,44 +289,35 @@ class PropertyReport:
 
 
 def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
-    """Structural invariants of the full pipeline over random chains.
+    """Checks of the swept filtration over random chains.
 
-    Per chain and stage: the field `build_mvf` defines at the stage's gamma
-    partitions the complex into locally closed parts, and each of its
-    multivectors lies inside one of the stage's Morse sets; consecutive
-    fields coarsen; Morse sets nest into exactly one successor, and the
-    stage's lineage lists exactly the sets that merged; the diagram's
+    Per chain and stage, `static_route`: the stage's Morse sets are those
+    `morse_sets` gives at its gamma, and each carries the index
+    `topological_index` gives it. Per pair of stages, `containment`: Morse
+    sets nest into exactly one successor, and the stage's lineage lists
+    exactly the sets that merged. Per chain, `diagram_shape`: the diagram's
     immortal points equal the final stage's Morse sets and every death
     exceeds its birth.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     master = np.random.default_rng(spec.seed)
-    checks = {
-        "valid_field": 0,
-        "coarsening": 0,
-        "containment": 0,
-        "diagram_shape": 0,
-    }
+    checks = {"static_route": 0, "containment": 0, "diagram_shape": 0}
     failures = []
     for trial in range(trials):
         trial_seed = int(master.integers(2**63))
         P = random_chain(RandomChainSpec(spec.n, spec.density, trial_seed))
         F = run_filtration(P)
+        X = F.complex
         tag = f"trial {trial} (seed {trial_seed})"
-        fields = [build_mvf(F.complex, P, stage.gamma) for stage in F.stages]
-        for stage, fld in zip(F.stages, fields):
-            owner = {c: m.label for m in stage.morse_sets for c in m.cells}
-            inside = all(len({owner.get(c) for c in v}) == 1 for v in fld.multivectors)
-            if is_valid_mvf(fld, F.complex) and inside:
-                checks["valid_field"] += 1
+        for stage in F.stages:
+            sets = morse_sets(X, P, stage.gamma)
+            indexed = all(stage.index_of.get(m.label) == topological_index(X, m) for m in sets)
+            if stage.morse_sets == sets and indexed:
+                checks["static_route"] += 1
             else:
-                failures.append(f"{tag}: invalid field, or one straddling Morse sets, at gamma={stage.gamma}")
-        for prev, nxt, fine, coarse in zip(F.stages, F.stages[1:], fields, fields[1:]):
-            if is_coarsening(coarse, fine):
-                checks["coarsening"] += 1
-            else:
-                failures.append(f"{tag}: no coarsening {prev.gamma} -> {nxt.gamma}")
+                failures.append(f"{tag}: Morse sets or indices differ from the static route at gamma={stage.gamma}")
+        for prev, nxt in zip(F.stages, F.stages[1:]):
             try:
                 cmap = containment_map(prev, nxt)
             except RuntimeError as exc:

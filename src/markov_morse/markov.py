@@ -201,6 +201,8 @@ def _parse_json(text: str) -> TransitionMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise MatrixParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise MatrixParseError('expected an object with a "matrix" key')
     matrix = obj["matrix"]

@@ -285,7 +285,10 @@ def _is_count(value) -> bool:
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
     """Inverse of diagram_to_json; malformed input raises ValueError naming the bad field."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("diagram JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"diagram must be an object, got {obj!r}")
     grid, raw_points = obj.get("grid"), obj.get("points")

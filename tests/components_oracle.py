@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from markov_morse.cells import StateComplex, is_closed
+from markov_morse.cells import StateComplex
 from markov_morse.homology import TopologicalIndex
 from markov_morse.unionfind import DisjointSet
+
+from cells_oracle import is_closed
 
 
 class _Components(NamedTuple):

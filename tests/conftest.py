@@ -1,11 +1,15 @@
 """Shared fixtures: the 3-state worked chain used across the suite.
 
-Cells are ints numbered per complex; `WORKED_COMPLEX.vertex` and
-`WORKED_COMPLEX.edge` name the worked chain's cells by state indices.
+Cells are ints numbered per complex; `V(i)` and `E(i, j)` name the worked
+chain's cells by state indices (`E` is the oracle's `edge` on
+`WORKED_COMPLEX`).
 """
+
+from functools import partial
 
 import pytest
 
+from cells_oracle import edge
 from markov_morse import TransitionMatrix, build_complex
 
 WORKED_ROWS = [
@@ -22,6 +26,7 @@ WORKED_CSV = """\
 """
 
 WORKED_COMPLEX = build_complex(TransitionMatrix(WORKED_ROWS))
+V, E = WORKED_COMPLEX.vertex, partial(edge, WORKED_COMPLEX)
 
 
 @pytest.fixture

@@ -19,9 +19,10 @@ from markov_morse.cells import StateComplex, build_complex
 from markov_morse.dynamics import MorseSet
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, TransitionMatrix, threshold_grid
-from markov_morse.mvf import MultivectorField, build_mvf
+from markov_morse.mvf import build_mvf
 from markov_morse.persistence import PersistenceDiagram, PersistencePoint, containment_map
 
+from cells_oracle import Field
 from components_oracle import index_by_components
 from mgraph_oracle import mgraph_by_mouths, morse_sets
 
@@ -31,7 +32,7 @@ class Stage:
     """Everything computed at one grid value."""
 
     gamma: float
-    field: MultivectorField
+    field: Field
     morse_sets: tuple[MorseSet, ...]
     index_of: dict[int, TopologicalIndex] = field(compare=False)
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from markov_morse.cells import StateComplex, closure, mouth
+from markov_morse.cells import StateComplex
 from markov_morse.dynamics import MorseOrder, MorseSet
-from markov_morse.mvf import MultivectorField
+
+from cells_oracle import Field, closure, mouth
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,12 @@ class MGraph:
     arcs: frozenset[tuple[int, int]]
 
 
-def build_mgraph(V: MultivectorField, X: StateComplex) -> MGraph:
+def _label_of(V: Field) -> dict[int, int]:
+    """Cell -> label (smallest cell) of its multivector."""
+    return {c: min(v) for v in V for c in v}
+
+
+def build_mgraph(V: Field, X: StateComplex) -> MGraph:
     """Arc V -> W (V != W) iff W intersects mouth(V); self-loops everywhere.
 
     On a 1-complex a vertex has no proper faces, so the mouth of V is the
@@ -38,8 +44,8 @@ def build_mgraph(V: MultivectorField, X: StateComplex) -> MGraph:
     edges therefore finds every arc: edge e and its endpoint v give the arc
     [e] -> [v], which is a self-loop exactly when v lies in e's multivector.
     """
-    label_of = V.label_of
-    nodes = tuple(min(v) for v in V.multivectors)
+    label_of = _label_of(V)
+    nodes = tuple(min(v) for v in V)
     arcs = {(u, u) for u in nodes}
     for e, (i, j) in enumerate(X.edges, start=X.n):  # states i, j are cells i - 1, j - 1
         u = label_of[e]
@@ -96,7 +102,7 @@ def _tarjan_scc(nodes: tuple[int, ...], adj: dict[int, list[int]]) -> list[list[
     return sccs
 
 
-def morse_sets(G: MGraph, V: MultivectorField) -> tuple[MorseSet, ...]:
+def morse_sets(G: MGraph, V: Field) -> tuple[MorseSet, ...]:
     """Every SCC of the M-graph as a Morse set, sorted by label.
 
     Self-loops make each node trivially recurrent, so singleton SCCs count:
@@ -105,7 +111,7 @@ def morse_sets(G: MGraph, V: MultivectorField) -> tuple[MorseSet, ...]:
     adj: dict[int, list[int]] = {u: [] for u in G.nodes}
     for u, w in G.arcs:
         adj[u].append(w)
-    by_label = {min(v): v for v in V.multivectors}
+    by_label = {min(v): v for v in V}
     sets = [
         MorseSet(label=min(comp), cells=frozenset().union(*(by_label[u] for u in comp)))
         for comp in _tarjan_scc(G.nodes, adj)
@@ -148,26 +154,25 @@ def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
     return MorseOrder(tuple(m.label for m in sets), frozenset(relations))
 
 
-def mgraph_by_mouths(V: MultivectorField, X: StateComplex) -> MGraph:
+def mgraph_by_mouths(V: Field, X: StateComplex) -> MGraph:
     """The M-graph of V, one subset-checked mouth per multivector."""
-    owner = {c: min(v) for v in V.multivectors for c in v}
-    nodes = tuple(min(v) for v in V.multivectors)
+    owner = _label_of(V)
+    nodes = tuple(min(v) for v in V)
     arcs = {(u, u) for u in nodes}
-    for vec in V.multivectors:
+    for vec in V:
         for c in mouth(X, vec):
             arcs.add((min(vec), owner[c]))
     return MGraph(nodes, frozenset(arcs))
 
 
-def vector_of(V: MultivectorField, cell: int) -> frozenset[int]:
+def vector_of(V: Field, cell: int) -> frozenset[int]:
     """The multivector [cell] containing the given cell."""
-    try:
-        label = V.label_of[cell]
-    except KeyError:
-        raise KeyError(f"cell {cell} is not in this field") from None
-    return frozenset(c for c, other in V.label_of.items() if other == label)
+    for v in V:
+        if cell in v:
+            return v
+    raise KeyError(f"cell {cell} is not in this field")
 
 
-def pi_map(V: MultivectorField, X: StateComplex, x: int) -> frozenset[int]:
+def pi_map(V: Field, X: StateComplex, x: int) -> frozenset[int]:
     """The multivalued map value at x: [x] union cl{x}."""
     return vector_of(V, x) | closure(X, (x,))

@@ -24,16 +24,14 @@ from markov_morse import (
     threshold_grid,
     topological_index,
 )
-from markov_morse.cells import closure, mouth
 from markov_morse.markov import TransitionMatrix, matrix_distance
-from markov_morse.mvf import is_coarsening
 from markov_morse.persistence import containment_map
 
+from cells_oracle import closure, is_coarsening, mouth
 from components_oracle import _components, conley_index_dims, homology_dims, index_by_components, is_critical
-from conftest import WORKED_COMPLEX, WORKED_ROWS
+from conftest import E, V, WORKED_ROWS
 from gf2_oracle import betti_by_rank
 
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 INF = math.inf
 
 
@@ -64,7 +62,7 @@ def test_criterion_1_threshold_partitions_of_the_worked_chain():
     X = build_complex(P)
     t0 = time.perf_counter()
     parts = {
-        g: set(build_mvf(X, P, g).multivectors)
+        g: set(build_mvf(X, P, g))
         for g in (0.0, 0.15, 0.17, 0.2, 0.23)
     }
     elapsed = time.perf_counter() - t0
@@ -334,7 +332,7 @@ def test_criterion_9_criticality_semantics_everywhere():
 
     singletons = arrows = larger = 0
     for X, fld in fields:
-        for v in fld.multivectors:
+        for v in fld:
             dims = conley_index_dims(X, v)
             assert is_critical(X, v) == (sum(dims) > 0)
             if len(v) == 1:

@@ -1,15 +1,14 @@
-"""State complex construction, closure, mouth, local closedness."""
+"""State complex construction; closure, mouth and local closedness from the cell oracle."""
 
 import random
 
 import pytest
 
 from markov_morse import TransitionMatrix, build_complex, format_cell
-from markov_morse.cells import StateComplex, closure, is_closed, is_locally_closed, mouth
+from markov_morse.cells import StateComplex
 
-from conftest import WORKED_COMPLEX
-
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
+from cells_oracle import closure, contains, edge, is_closed, is_locally_closed, mouth
+from conftest import E, V, WORKED_COMPLEX
 
 X17 = StateComplex(17, ((1, 2), (1, 3), (2, 3), (2, 4)))
 
@@ -23,7 +22,7 @@ class TestCellOrder:
     """Cell ids are dense ints whose order is the canonical cell order."""
 
     def test_vertices_before_edges(self):
-        assert X17.vertex(17) < X17.edge(1, 2)
+        assert X17.vertex(17) < edge(X17, 1, 2)
         assert [X17.is_edge(c) for c in X17.cells()] == [False] * 17 + [True] * 4
 
     def test_vertices_by_index(self):
@@ -31,20 +30,20 @@ class TestCellOrder:
         assert [X17.vertex(i) for i in range(1, 18)] == list(range(17))
 
     def test_edges_lexicographic(self):
-        ids = [X17.edge(1, 2), X17.edge(1, 3), X17.edge(2, 3), X17.edge(2, 4)]
+        ids = [edge(X17, 1, 2), edge(X17, 1, 3), edge(X17, 2, 3), edge(X17, 2, 4)]
         assert ids == [17, 18, 19, 20] == list(X17.cells()[17:])
 
     def test_edge_endpoints_normalized(self):
-        assert X17.edge(3, 1) == X17.edge(1, 3)
-        assert X17.endpoints(X17.edge(3, 1)) == (X17.vertex(1), X17.vertex(3))
+        assert edge(X17, 3, 1) == edge(X17, 1, 3)
+        assert X17.endpoints(edge(X17, 3, 1)) == (X17.vertex(1), X17.vertex(3))
         with pytest.raises(ValueError):
             X17.endpoints(X17.vertex(3))
 
     def test_degenerate_edge_rejected(self):
         with pytest.raises(ValueError):
-            X17.edge(2, 2)
+            edge(X17, 2, 2)
         with pytest.raises(ValueError):
-            X17.edge(3, 4)  # absent from the complex
+            edge(X17, 3, 4)  # absent from the complex
         with pytest.raises(ValueError):
             X17.vertex(18)
 
@@ -81,10 +80,10 @@ class TestBuildComplex:
         assert X.edges == ((1, 2), (1, 3))
 
     def test_membership(self, X3):
-        assert V(2) in X3
-        assert E(1, 3) in X3
-        assert X3.cell_count not in X3
-        assert -1 not in X3
+        assert contains(X3, V(2))
+        assert contains(X3, E(1, 3))
+        assert not contains(X3, X3.cell_count)
+        assert not contains(X3, -1)
 
     def test_invalid_edge_in_constructor(self):
         with pytest.raises(ValueError):

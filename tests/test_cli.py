@@ -217,7 +217,8 @@ class TestPropertiesCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["violations"] == 0
-        assert obj["checks"]["valid_field"] > 0
+        assert set(obj["checks"]) == {"static_route", "containment", "diagram_shape"}
+        assert all(count > 0 for count in obj["checks"].values())
 
 
 class TestExitCodes:
@@ -347,3 +348,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "index must be a pair of ints" in err
+
+    @pytest.mark.parametrize(
+        "command, wrap",
+        [
+            ("thresholds", "{}"),
+            ("thresholds", '{{"matrix": {}}}'),
+            ("diagram", "{}"),
+            ("diagram", '{{"points": {}}}'),
+            ("bottleneck", '{{"points": {}}}'),
+            ("bottleneck", '{{"matrix": {}}}'),
+        ],
+        ids=[
+            "thresholds-bare",
+            "thresholds-matrix",
+            "diagram-bare",
+            "diagram-points",
+            "bottleneck-points",
+            "bottleneck-matrix",
+        ],
+    )
+    def test_deeply_nested_json(self, capsys, matrix_file, tmp_path, command, wrap):
+        # the JSON decoder recurses once per level; the input is refused, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text(wrap.format("[" * 100000 + "]" * 100000))
+        extra = [matrix_file] if command == "bottleneck" else []
+        code, out, err = run(capsys, command, str(deep), *extra)
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err

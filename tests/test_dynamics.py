@@ -19,15 +19,13 @@ from markov_morse import (
     random_chain,
     threshold_grid,
 )
-from markov_morse.cells import mouth
 
-from conftest import WORKED_COMPLEX
+from cells_oracle import mouth
+from conftest import E, V, WORKED_COMPLEX
 import mgraph_oracle as oracle
 from mgraph_oracle import build_mgraph, mgraph_by_mouths, pi_map
 from test_event_sweep import weight_rows, weighted_chain
 from test_frozen_diagrams import specs as frozen_specs
-
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 @pytest.fixture
@@ -36,6 +34,11 @@ def field_at(worked_matrix, worked_complex):
         return build_mvf(worked_complex, worked_matrix, gamma)
 
     return make
+
+
+def ge(order, above, below):
+    """above >= below in the reflexive closure of the strict Morse order."""
+    return above == below or (above, below) in order.relations
 
 
 def probe_gammas(P):
@@ -119,8 +122,8 @@ class TestMGraph:
         for gamma in threshold_grid(worked_matrix):
             fld = build_mvf(worked_complex, worked_matrix, gamma)
             G = build_mgraph(fld, worked_complex)
-            for vec in fld.multivectors:
-                for other in fld.multivectors:
+            for vec in fld:
+                for other in fld:
                     if min(vec) == min(other):
                         continue
                     expected = any(pi_map(fld, worked_complex, x) & other for x in vec)
@@ -210,9 +213,13 @@ class TestMorseOrder:
         }
 
     def test_ge_is_reflexive(self, worked_matrix, worked_complex):
-        order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.15))
+        # the relations are strict; >= is their reflexive closure on the labels
+        sets = morse_sets(worked_complex, worked_matrix, 0.15)
+        order = morse_order(worked_complex, sets)
+        assert order.labels == tuple(m.label for m in sets)
         for lbl in order.labels:
-            assert order.ge(lbl, lbl)
+            assert (lbl, lbl) not in order.relations
+            assert ge(order, lbl, lbl)
 
     def test_antisymmetry_and_transitivity_on_random_chains(self):
         rng = random.Random(99)
@@ -242,5 +249,5 @@ class TestMorseOrder:
                     owner[c] = m.label
             for m in sets:
                 for c in mouth(worked_complex, m.cells):
-                    assert order.ge(m.label, owner[c])
+                    assert ge(order, m.label, owner[c])
 

@@ -22,12 +22,12 @@ from markov_morse import (
     run_filtration,
 )
 from markov_morse import persistence
-from markov_morse.cells import closure
 from markov_morse.dynamics import morse_sets
 from markov_morse.homology import topological_index
-from markov_morse.mvf import build_mvf, is_coarsening
+from markov_morse.mvf import build_mvf
 from markov_morse.persistence import containment_map
 
+from cells_oracle import closure, is_coarsening
 from components_oracle import _components, index_by_components
 from gf2_oracle import betti_by_rank
 
@@ -141,7 +141,7 @@ def test_property_coarsening_and_containment(weights):
     for stage, fld in zip(F.stages, fields):
         # both partition the cells, so this makes each set a union of multivectors
         for m in stage.morse_sets:
-            assert all(v <= m.cells for v in fld.multivectors if v & m.cells)
+            assert all(v <= m.cells for v in fld if v & m.cells)
 
 
 @settings(deadline=None, max_examples=150)

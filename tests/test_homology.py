@@ -12,14 +12,12 @@ from markov_morse import (
     morse_sets,
     topological_index,
 )
-from markov_morse.cells import closure
 from markov_morse.homology import TopologicalIndex
 
+from cells_oracle import closure
 from components_oracle import conley_index_dims, homology_dims, is_critical
-from conftest import WORKED_COMPLEX
+from conftest import E, V
 from gf2_oracle import Gf2Matrix, betti_by_rank, boundary_matrix, rank_gf2
-
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 class TestRankGf2:
@@ -154,7 +152,7 @@ class TestTopologicalIndex:
 class TestCriticality:
     def test_singletons_are_critical(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.0)
-        assert all(is_critical(worked_complex, v) for v in fld.multivectors)
+        assert all(is_critical(worked_complex, v) for v in fld)
 
     def test_arrow_is_regular(self, worked_complex):
         assert not is_critical(worked_complex, frozenset({V(2), E(1, 2)}))
@@ -166,4 +164,4 @@ class TestCriticality:
     def test_whole_space_is_critical(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.33)
         assert len(fld) == 1
-        assert is_critical(worked_complex, fld.multivectors[0])
+        assert is_critical(worked_complex, fld[0])

@@ -1,18 +1,16 @@
-"""Field construction at thresholds, validity, coarsening across the grid."""
+"""Field construction at thresholds; validity and coarsening from the cell oracle."""
 
 import pytest
 
 from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_grid
-from markov_morse.mvf import MultivectorField, is_coarsening, is_valid_mvf
 
-from conftest import WORKED_COMPLEX
+from cells_oracle import edge, is_coarsening, is_valid_mvf
+from conftest import E, V
 from mgraph_oracle import vector_of
-
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 
 
 def partition(field):
-    return set(field.multivectors)
+    return set(field)
 
 
 class TestWorkedExample:
@@ -65,7 +63,7 @@ class TestWorkedExample:
 
     def test_labels_are_minimal_cells(self, worked_matrix, worked_complex):
         fld = self.fields(worked_matrix, worked_complex, 0.15)
-        assert [min(v) for v in fld.multivectors] == [V(1), V(2), V(3), E(1, 2)]
+        assert [min(v) for v in fld] == [V(1), V(2), V(3), E(1, 2)]
 
     def test_determinism(self, worked_matrix, worked_complex):
         a = self.fields(worked_matrix, worked_complex, 0.15)
@@ -79,7 +77,7 @@ class TestZeroEntries:
         P = TransitionMatrix([[0.0, 1.0], [0.0, 1.0]])
         X = build_complex(P)
         fld = build_mvf(X, P, 0.0)
-        assert partition(fld) == {frozenset({X.vertex(1)}), frozenset({X.vertex(2), X.edge(1, 2)})}
+        assert partition(fld) == {frozenset({X.vertex(1)}), frozenset({X.vertex(2), edge(X, 1, 2)})}
 
     def test_absent_edge_never_merges(self):
         P = TransitionMatrix([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
@@ -87,7 +85,7 @@ class TestZeroEntries:
         fld = build_mvf(X, P, 1.0)
         # no (2,3) edge exists, so states 2 and 3 can only meet through state 1
         assert len(fld) == 1
-        assert fld.multivectors[0] == frozenset(X.cells())
+        assert fld[0] == frozenset(X.cells())
 
 
 class TestValidity:
@@ -96,19 +94,19 @@ class TestValidity:
             assert is_valid_mvf(build_mvf(worked_complex, worked_matrix, gamma), worked_complex)
 
     def test_missing_cell_is_invalid(self, worked_complex):
-        fld = MultivectorField(0.0, (frozenset({V(1)}),))
+        fld = (frozenset({V(1)}),)
         assert not is_valid_mvf(fld, worked_complex)
 
-    def test_overlapping_parts_rejected_by_constructor(self):
-        with pytest.raises(ValueError, match="two multivectors"):
-            MultivectorField(
-                0.0,
-                (frozenset({V(1)}), frozenset({V(1), V(2)})),
-            )
+    def test_overlapping_parts_rejected_by_constructor(self, worked_complex):
+        # every cell covered, but V1 lies in two parts
+        rest = frozenset(worked_complex.cells()) - {V(1)}
+        assert not is_valid_mvf((frozenset({V(1)}), rest | {V(1)}), worked_complex)
+        assert not is_valid_mvf((frozenset({V(1)}), frozenset({V(1), V(2)})), worked_complex)
 
-    def test_empty_part_rejected_by_constructor(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            MultivectorField(0.0, (frozenset({V(1)}), frozenset()))
+    def test_empty_part_rejected_by_constructor(self, worked_complex):
+        cells = frozenset(worked_complex.cells())
+        assert not is_valid_mvf((cells, frozenset()), worked_complex)
+        assert not is_valid_mvf((frozenset({V(1)}), frozenset()), worked_complex)
 
     def test_negative_gamma_rejected(self, worked_matrix, worked_complex):
         with pytest.raises(ValueError):
@@ -122,7 +120,7 @@ class TestValidity:
     def test_vector_of(self, worked_matrix, worked_complex):
         fld = build_mvf(worked_complex, worked_matrix, 0.15)
         assert vector_of(fld, E(2, 3)) == {V(3), E(1, 3), E(2, 3)}
-        assert fld.label_of[E(2, 3)] == V(3)
+        assert fld[2] == vector_of(fld, E(2, 3)) and min(fld[2]) == V(3)
         with pytest.raises(KeyError):
             vector_of(fld, worked_complex.cell_count)
 

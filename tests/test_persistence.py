@@ -21,9 +21,8 @@ from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid
 from markov_morse.persistence import PersistencePoint, containment_map
 
-from conftest import WORKED_COMPLEX
+from conftest import E, V
 
-V, E = WORKED_COMPLEX.vertex, WORKED_COMPLEX.edge
 INF = math.inf
 
 
@@ -323,6 +322,10 @@ class TestDiagramJson:
     def test_diagram_not_an_object(self, text):
         with pytest.raises(ValueError, match="diagram must be an object"):
             diagram_from_json(text)
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            diagram_from_json('{"points": ' + "[" * 100000 + "]" * 100000 + "}")
 
     def test_point_not_an_object(self):
         with pytest.raises(ValueError, match="point 0: expected an object"):
