@@ -114,12 +114,17 @@ def _condensation(X: StateComplex, sets: tuple[MorseSet, ...]) -> dict[int, set[
 
 
 def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
-    """Nodes reachable from start along arcs, staying inside `within` if given."""
+    """Nodes reachable from start along arcs, staying inside `within` if given.
+
+    With `within`, only the arcs into it are walked: `arcs[x] & within`
+    costs the smaller of the two sets, not the out-degree of x.
+    """
     seen = {start}
     stack = [start]
     while stack:
-        for w in arcs[stack.pop()]:
-            if w not in seen and (within is None or w in within):
+        x = stack.pop()
+        for w in arcs[x] if within is None else arcs[x] & within:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen

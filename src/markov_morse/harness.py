@@ -291,8 +291,10 @@ class PropertyReport:
 def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
     """Checks of the swept filtration over random chains.
 
-    Per chain and stage, `static_route`: the stage's Morse sets are those
-    `morse_sets` gives at its gamma, and each carries the index
+    The stages checked are `F.stages`, replayed from the sweep's births
+    records, so a wrong lineage shows as stages that differ from the
+    static route. Per chain and stage, `static_route`: the stage's Morse
+    sets are those `morse_sets` gives at its gamma, and each carries the index
     `topological_index` gives it. Per pair of stages, `containment`: Morse
     sets nest into exactly one successor, and the stage's lineage lists
     exactly the sets that merged. Per chain, `diagram_shape`: the diagram's

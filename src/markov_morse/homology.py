@@ -40,5 +40,9 @@ def topological_index(X: StateComplex, M: "MorseSet") -> TopologicalIndex:
     n = X.n
     edges = [c for c in M.cells if c >= n]
     mouth = {i - 1 for c in edges for i in X.edges[c - n]} - M.cells  # state i is cell i - 1
-    own = len(M.cells) - len(edges)
-    return TopologicalIndex(len(edges) - own - len(mouth) + 1, len(edges) - own + (not mouth))
+    return index_from_counts(len(edges), len(M.cells) - len(edges), len(mouth))
+
+
+def index_from_counts(edges: int, vertices: int, mouth: int) -> TopologicalIndex:
+    """The index of a Morse set with `edges` edges, `vertices` own vertices and `mouth` mouth vertices."""
+    return TopologicalIndex(edges - vertices - mouth + 1, edges - vertices + (not mouth))

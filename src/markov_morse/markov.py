@@ -30,6 +30,12 @@ class MatrixValidationError(MatrixError):
     """Well-formed input that violates a stochasticity or shape constraint."""
 
 
+def _clip(value) -> str:
+    """repr(value), cut to 40 characters and "..." so an error message stays short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _default_states(n: int) -> tuple[str, ...]:
     return tuple(f"N{i}" for i in range(1, n + 1))
 
@@ -189,7 +195,7 @@ def _parse_csv(text: str) -> TransitionMatrix:
             try:
                 row.append(float(tok))
             except ValueError:
-                raise MatrixParseError(f"line {lineno}, field {col}: not a number: {tok.strip()!r}") from None
+                raise MatrixParseError(f"line {lineno}, field {col}: not a number: {_clip(tok.strip())}") from None
         rows.append(row)
     if not rows:
         raise MatrixParseError("no matrix rows found")
@@ -211,7 +217,7 @@ def _parse_json(text: str) -> TransitionMatrix:
     for i, row in enumerate(matrix, start=1):
         for j, v in enumerate(row, start=1):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise MatrixParseError(f'"matrix" row {i}, field {j}: not a number: {v!r}')
+                raise MatrixParseError(f'"matrix" row {i}, field {j}: not a number: {_clip(v)}')
     states = obj.get("states")
     if states is not None:
         if not isinstance(states, list) or not all(isinstance(s, str) for s in states):

@@ -377,3 +377,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("bottleneck", "[" * 100000 + "]" * 100000),
+            ("thresholds", '{"matrix": [["' + "x" * 50000 + '"]]}'),
+            ("bottleneck", '{"grid": [0.0], "points": "' + "x" * 50000 + '"}'),
+        ],
+        ids=["csv-token", "matrix-field", "points-field"],
+    )
+    def test_long_bad_value_is_not_echoed_whole(self, capsys, matrix_file, tmp_path, command, text):
+        # the message names the bad value by its first characters only
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        extra = [matrix_file] if command == "bottleneck" else []
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 1024
+        assert "..." in err
+

@@ -21,7 +21,7 @@ from markov_morse import (
     random_chain,
     run_filtration,
 )
-from markov_morse import persistence
+from markov_morse import homology, persistence
 from markov_morse.dynamics import morse_sets
 from markov_morse.homology import topological_index
 from markov_morse.mvf import build_mvf
@@ -164,18 +164,34 @@ def test_property_morse_set_closures_are_connected(weights):
 
 
 class TestIncremental:
-    def test_index_computed_only_for_born_sets(self, monkeypatch):
-        calls = []
+    def test_index_computed_only_for_born_sets(self):
+        # the births records index exactly the born sets (every base set at
+        # the first grid value), and each counted index is the one
+        # components give on the replayed set
+        for seed in range(4):
+            F = run_filtration(random_chain(RandomChainSpec(9, 0.7, seed)))
+            X = F.complex
+            assert len(F.births) == len(F.stages)
+            for k, (births, stage) in enumerate(zip(F.births, F.stages)):
+                born = stage.absorbed if k else {m.label: (m.label,) for m in F.base}
+                assert births.index_of.keys() == born.keys()
+                cells = {m.label: m.cells for m in stage.morse_sets}
+                for label, index in births.index_of.items():
+                    assert index == index_by_components(X, cells[label])
 
-        def counting(X, m):
-            calls.append(m.label)
-            return topological_index(X, m)
+    def test_timed_path_calls_neither_topological_index_nor_the_replay(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called on the run_filtration + build_diagram path")
 
-        monkeypatch.setattr(persistence, "topological_index", counting)
+        for module in (homology, persistence):  # where the sweep would look it up
+            monkeypatch.setattr(module, "topological_index", refuse, raising=False)
+        monkeypatch.setattr(persistence, "_replay", refuse)
         F = run_filtration(random_chain(RandomChainSpec(9, 0.7, 4)))
-        born = len(F.stages[0].morse_sets) + sum(len(s.absorbed) for s in F.stages[1:])
-        assert len(calls) == born
-        assert born < sum(len(s.morse_sets) for s in F.stages)
+        D = build_diagram(F)
+        assert "stages" not in vars(F)
+        monkeypatch.undo()
+        assert len(F.stages) == len(F.grid)
+        assert D == oracle.build_diagram(oracle.run_filtration(random_chain(RandomChainSpec(9, 0.7, 4))))
 
     def test_unchanged_sets_are_shared_with_the_previous_stage(self):
         F = run_filtration(random_chain(RandomChainSpec(9, 0.7, 5)))

@@ -23,6 +23,8 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from markov_morse import (
     RandomChainSpec,
     build_diagram,
@@ -55,6 +57,21 @@ def digest(spec):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# sha256 of the diagram JSON of random_chain(n, 0.7, seed=1), beyond the
+# sizes the full-rebuild oracle can reach. The n <= 100 digests come from
+# the sweep that still snapshotted every stage; n = 200 and 400 were first
+# run by the births-only sweep, and are slow (seconds, 70 and 170 MB).
+LARGE = {
+    40: "d991962dc32b976637fd2d485a3eb1ded3f09fb76755d4de920c598346ab4dd9",
+    60: "b9a9c46fda3ce8cd31cdb2f7dd050e59f4dbee2b175cf7fc6c223043262ef892",
+    100: "8ff2023752d58cf8e6fecdcb42d53c7777d88dc66014bedf9f4ed539dadfa39a",
+}
+SLOW = {
+    200: "81c61e2442ee65ca8e0619701f4e14c56bc136fc6a100e49d9c9371b0ec10d0c",
+    400: "e17baf8b574ad5121e31d38c2c8793095bd4cf0475e0d2684e9524b8cddfe5ff",
+}
+
+
 def cell_specs():
     return [RandomChainSpec(n, d, seed) for n in SIZES for d in DENSITIES for seed in CELL_SEEDS]
 
@@ -79,6 +96,17 @@ def test_diagrams_match_the_frozen_digests():
     changed = [key(s) for s in specs() if digest(s) != frozen[key(s)]]
     print(f"\n[frozen diagrams] {len(frozen)} chains compared, {len(changed)} changed")
     assert changed == []
+
+
+@pytest.mark.parametrize("n", sorted(LARGE))
+def test_large_chain_diagrams_match_the_pinned_digests(n):
+    assert digest(RandomChainSpec(n, 0.7, 1)) == LARGE[n]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(SLOW))
+def test_very_large_chain_diagrams_match_the_pinned_digests(n):
+    assert digest(RandomChainSpec(n, 0.7, 1)) == SLOW[n]
 
 
 def test_cell_output_matches_the_frozen_digests(tmp_path):

@@ -185,57 +185,66 @@ class TestPropertyTrials:
             property_trials(RandomChainSpec(n=3, seed=0), 0)
 
     def test_wrong_lineage_is_reported(self, monkeypatch):
-        # a merge that forgets one absorbed set must not pass as containment
+        # a merge that forgets one absorbed set must not pass; the replayed
+        # stages then keep the forgotten set apart, which the static route
+        # reports from the tampered stage on
         from dataclasses import replace
 
         import markov_morse.harness as harness
 
+        forgot = []
+
         def forgetful(P):
             F = run_filtration(P)
-            stages = list(F.stages)
-            k = next(k for k, s in enumerate(stages) if s.absorbed)
-            label, parts = next(iter(stages[k].absorbed.items()))
-            stages[k] = replace(stages[k], absorbed={**stages[k].absorbed, label: parts[:-1]})
-            return replace(F, stages=tuple(stages))
+            births = list(F.births)
+            k = next(k for k, b in enumerate(births) if b.absorbed)
+            label, parts = next(iter(births[k].absorbed.items()))
+            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: parts[:-1]})
+            forgot.append((k, births[k].gamma))
+            return replace(F, births=tuple(births))
 
         monkeypatch.setattr(harness, "run_filtration", forgetful)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
-        assert any("lineage" in f and "differs from containment" in f for f in report.failures)
+        k, gamma = forgot[0]
+        assert report.failures[0].endswith(f"differ from the static route at gamma={gamma}")
+        assert report.checks["static_route"] == k
 
     def test_split_multivector_is_reported(self, monkeypatch):
-        # final-stage Morse sets that cut one of build_mvf's multivectors in
-        # two must not pass as the static route's sets
+        # a merge that leaves out a part sharing one of build_mvf's
+        # multivectors with the rest cuts that multivector in two; the
+        # replayed sets must not pass as the static route's
         from dataclasses import replace
 
         import markov_morse.harness as harness
         from markov_morse import build_mvf
-        from markov_morse.dynamics import MorseSet
 
         cut = []
 
         def splitting(P):
             F = run_filtration(P)
-            last = F.stages[-1]
-            v = next(v for v in build_mvf(F.complex, P, last.gamma) if len(v) > 1)
-            m = next(m for m in last.morse_sets if v <= m.cells)
-            c = max(v)  # never m's label, the smallest of m's cells
-            sets = [s for s in last.morse_sets if s is not m]
-            sets += [MorseSet(m.label, m.cells - {c}), MorseSet(c, frozenset({c}))]
-            cut.append((last.gamma, len(F.stages)))
-            split = replace(last, morse_sets=tuple(sorted(sets, key=lambda s: s.label)))
-            return replace(F, stages=(*F.stages[:-1], split))
+            births = list(F.births)
+            for k in reversed(range(1, len(births))):
+                cells = {m.label: m.cells for m in F.stages[k - 1].morse_sets}
+                fld = build_mvf(F.complex, P, births[k].gamma)
+                for label, parts in births[k].absorbed.items():
+                    for p in parts:
+                        if p != label and any(v & cells[p] and v - cells[p] for v in fld):
+                            kept = tuple(q for q in parts if q != p)
+                            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: kept})
+                            cut.append((k, births[k].gamma))
+                            return replace(F, births=tuple(births))
+            raise AssertionError("no merge to split")
 
         monkeypatch.setattr(harness, "run_filtration", splitting)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
-        gamma, stages = cut[0]
-        assert any(
-            "differ from the static route" in f and f.endswith(f"at gamma={gamma}") for f in report.failures
-        )
-        # every other stage passes
-        assert report.checks["static_route"] == stages - 1
+        k, gamma = cut[0]
+        assert report.failures[0].endswith(f"differ from the static route at gamma={gamma}")
+        # every stage before the cut passes
+        assert report.checks["static_route"] == k
 
     def test_stale_index_is_reported(self, monkeypatch):
-        # a born set that keeps the index of a set it absorbed must not pass
+        # a born set that keeps the index of a set it absorbed must not pass;
+        # the replay carries the stale index until the set is absorbed
         from dataclasses import replace
 
         import markov_morse.harness as harness
@@ -244,22 +253,28 @@ class TestPropertyTrials:
 
         def stale_index(P):
             F = run_filtration(P)
-            stages = list(F.stages)
-            k, label = next(
-                (k, label)
-                for k, s in enumerate(stages)
-                for label, parts in s.absorbed.items()
-                if any(stages[k - 1].index_of[p] != s.index_of[label] for p in parts)
+            births = list(F.births)
+            k, label, old = next(
+                (k, label, F.stages[k - 1].index_of[p])
+                for k in range(1, len(births))
+                for label, parts in births[k].absorbed.items()
+                for p in parts
+                if F.stages[k - 1].index_of[p] != births[k].index_of[label]
             )
-            old = next(stages[k - 1].index_of[p] for p in stages[k].absorbed[label])
-            stages[k] = replace(stages[k], index_of={**stages[k].index_of, label: old})
-            stale.append(stages[k].gamma)
-            return replace(F, stages=tuple(stages))
+            births[k] = births[k]._replace(index_of={**births[k].index_of, label: old})
+            # the stale entry lasts until a later stage absorbs the set
+            end = next(
+                (j for j in range(k + 1, len(births)) if any(label in q for q in births[j].absorbed.values())),
+                len(births),
+            )
+            stale.append((births[k].gamma, end - k))
+            return replace(F, births=tuple(births))
 
         monkeypatch.setattr(harness, "run_filtration", stale_index)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
+        gamma, lasting = stale[0]
         failures = [f for f in report.failures if "differ from the static route" in f]
-        assert len(failures) == 1 and failures[0].endswith(f"at gamma={stale[0]}")
+        assert len(failures) == lasting and failures[0].endswith(f"at gamma={gamma}")
 
     def test_negative_seed_rejected(self):
         # the spec carries the seed, so it is refused before any trial runs
