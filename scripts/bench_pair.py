@@ -9,7 +9,10 @@ unpacked somewhere). For every workload in SCHEDULE the script runs
 `python3 benchmark/run.py --workload W --seed 1 --trace 0 --seconds 30` in
 each checkout, alternating sides, and alternating which side goes first
 from pair to pair. Every run's "#" lines and result line are kept, with
-its position in the shared sequence.
+its position in the shared sequence. A run that exits non-zero or prints no
+result line is kept as its exit code and the tail of its stderr, and the
+schedule goes on. Both files are rewritten after every run, so a schedule
+cut short keeps the runs it finished.
 """
 
 from __future__ import annotations
@@ -23,16 +26,37 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEDULE = (("sweep", 10), ("match", 3), ("stability", 3))  # (workload, pairs)
+SCHEDULE = (("sweep", 10), ("match", 3), ("stability", 10))  # (workload, pairs)
 SEED = 1
 SECONDS = 30
 
 
+STDERR_TAIL = 20  # lines of stderr kept from a failed run
+
+
 def run(checkout: Path, args: list[str]) -> dict:
-    out = subprocess.run(
-        [sys.executable, "benchmark/run.py", *args], cwd=checkout, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    return {"notes": [line for line in out if line.startswith("#")], "result": json.loads(out[-1])}
+    proc = subprocess.run([sys.executable, "benchmark/run.py", *args], cwd=checkout, capture_output=True, text=True)
+    out = proc.stdout.splitlines()
+    try:
+        result = json.loads(out[-1]) if proc.returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if result is None:
+        return {"exit": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
+    return {"notes": [line for line in out if line.startswith("#")], "result": result}
+
+
+def write(tag: str, machine: str, runs: dict[str, list]) -> None:
+    for side, records in runs.items():
+        doc = {
+            "tree": side,
+            "command": "python3 benchmark/run.py",
+            "machine": machine,
+            "schedule": "parent and change runs alternate, which side goes first alternating per pair; "
+            "'order' is the position in that shared sequence",
+            "runs": records,
+        }
+        Path(f"BENCH_{tag}_{side}.json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv: list[str]) -> int:
@@ -54,18 +78,12 @@ def main(argv: list[str]) -> int:
                 order += 1
                 record = {"order": order, "args": args, **run(sides[side], args)}
                 runs[side].append(record)
-                value = record["result"]["metrics"]["items_per_s"]["value"]
-                print(f"{order} {side} {workload} items_per_s {value:.4g}", flush=True)
-    for side, records in runs.items():
-        doc = {
-            "tree": side,
-            "command": "python3 benchmark/run.py",
-            "machine": machine,
-            "schedule": "parent and change runs alternate, which side goes first alternating per pair; "
-            "'order' is the position in that shared sequence",
-            "runs": records,
-        }
-        Path(f"BENCH_{tag}_{side}.json").write_text(json.dumps(doc, indent=1) + "\n")
+                write(tag, machine, runs)
+                if "result" in record:
+                    value = record["result"]["metrics"]["items_per_s"]["value"]
+                    print(f"{order} {side} {workload} items_per_s {value:.4g}", flush=True)
+                else:
+                    print(f"{order} {side} {workload} failed with exit {record['exit']}", flush=True)
     return 0
 
 

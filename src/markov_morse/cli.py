@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bottleneck import bottleneck_matching
@@ -193,7 +193,7 @@ def _cmd_stability(args) -> int:
         delta_cap=args.delta,
         seed=args.seed,
     )
-    _emit(report.as_dict())
+    _emit(asdict(report))
     if report.violations:
         print(f"{report.violations} violation(s) detected", file=sys.stderr)
         return VIOLATION
@@ -203,7 +203,7 @@ def _cmd_stability(args) -> int:
 def _cmd_properties(args) -> int:
     spec = _parse_random_spec(args.random, args.seed)
     report = property_trials(spec, args.trials)
-    _emit(report.as_dict())
+    _emit(asdict(report))
     if report.violations:
         print(f"{report.violations} violation(s) detected", file=sys.stderr)
         return VIOLATION

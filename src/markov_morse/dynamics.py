@@ -22,11 +22,17 @@ condensation DAG is read off the incidences alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cells import StateComplex
 from .markov import TransitionMatrix
-from .mvf import check_gamma
+
+
+def check_gamma(gamma: float) -> None:
+    """Refuse a threshold that is not a finite number >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
 @dataclass(frozen=True)

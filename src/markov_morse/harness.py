@@ -138,20 +138,6 @@ class TrialRecord:
     d_b: float
     violation: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "n": self.n,
-            "targets": [list(t) for t in self.targets],
-            "deltas": list(self.deltas),
-            "delta_measured": self.delta_measured,
-            "l": self.l,
-            "bound": self.bound,
-            "d_b": self.d_b,
-            "violation": self.violation,
-        }
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -161,16 +147,6 @@ class StabilityReport:
     worst_ratio: float
     records: tuple[TrialRecord, ...]
     counterexamples: tuple[dict, ...] = field(default=())
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "records": [r.as_dict() for r in self.records],
-            "counterexamples": list(self.counterexamples),
-        }
 
 
 def stability_trials(
@@ -279,14 +255,6 @@ class PropertyReport:
     checks: dict[str, int]
     failures: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "checks": dict(self.checks),
-            "failures": list(self.failures),
-        }
-
 
 def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
     """Checks of the swept filtration over random chains.
@@ -299,7 +267,8 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
     sets nest into exactly one successor, and the stage's lineage lists
     exactly the sets that merged. Per chain, `diagram_shape`: the diagram's
     immortal points equal the final stage's Morse sets and every death
-    exceeds its birth.
+    exceeds its birth. A lineage the replay cannot follow is one failure,
+    and the trial's other checks are skipped.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -312,14 +281,19 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
         F = run_filtration(P)
         X = F.complex
         tag = f"trial {trial} (seed {trial_seed})"
-        for stage in F.stages:
+        try:
+            stages = F.stages
+        except RuntimeError as exc:
+            failures.append(f"{tag}: {exc}")
+            continue
+        for stage in stages:
             sets = morse_sets(X, P, stage.gamma)
             indexed = all(stage.index_of.get(m.label) == topological_index(X, m) for m in sets)
             if stage.morse_sets == sets and indexed:
                 checks["static_route"] += 1
             else:
                 failures.append(f"{tag}: Morse sets or indices differ from the static route at gamma={stage.gamma}")
-        for prev, nxt in zip(F.stages, F.stages[1:]):
+        for prev, nxt in zip(stages, stages[1:]):
             try:
                 cmap = containment_map(prev, nxt)
             except RuntimeError as exc:
@@ -334,7 +308,7 @@ def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
                 failures.append(f"{tag}: lineage at gamma={nxt.gamma} differs from containment")
         D = build_diagram(F)
         immortal = sum(1 for p in D.points if math.isinf(p.death))
-        if immortal == len(F.stages[-1].morse_sets) and all(p.death > p.birth for p in D.points):
+        if immortal == len(stages[-1].morse_sets) and all(p.death > p.birth for p in D.points):
             checks["diagram_shape"] += 1
         else:
             failures.append(f"{tag}: diagram shape violation")

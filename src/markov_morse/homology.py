@@ -37,10 +37,15 @@ def topological_index(X: StateComplex, M: "MorseSet") -> TopologicalIndex:
     M must be a Morse set (or any cell set whose closure is connected); the
     module docstring gives the reason every Morse set qualifies.
     """
-    n = X.n
-    edges = [c for c in M.cells if c >= n]
-    mouth = {i - 1 for c in edges for i in X.edges[c - n]} - M.cells  # state i is cell i - 1
-    return index_from_counts(len(edges), len(M.cells) - len(edges), len(mouth))
+    edges, vertices, mouth = _counts(X, M.cells)
+    return index_from_counts(edges, vertices, len(mouth))
+
+
+def _counts(X: StateComplex, cells: frozenset[int]) -> tuple[int, int, set[int]]:
+    """The number of edges and of own vertices of a cell set, and its mouth."""
+    edges = [c for c in cells if c >= X.n]
+    mouth = {i - 1 for c in edges for i in X.edges[c - X.n]} - cells  # state i is cell i - 1
+    return len(edges), len(cells) - len(edges), mouth
 
 
 def index_from_counts(edges: int, vertices: int, mouth: int) -> TopologicalIndex:

@@ -11,34 +11,27 @@ ids, each multivector labelled by its smallest cell and sorted by label.
 
 from __future__ import annotations
 
-import math
-
 from .cells import StateComplex
+from .dynamics import _tarjan_scc, check_gamma
 from .markov import TransitionMatrix
-from .unionfind import DisjointSet
-
-
-def check_gamma(gamma: float) -> None:
-    """Refuse a threshold that is not a finite number >= 0."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
 def build_mvf(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[frozenset[int], ...]:
     """Partition X's cells at threshold gamma, parts sorted by their smallest cell.
 
-    Start from singletons; for each edge {i, j} with i < j, merge vertex i
-    into the edge when p_ij <= gamma and vertex j into the edge when
-    p_ji <= gamma (comparisons are exact; a zero reverse entry on an existing
-    edge therefore merges at every gamma). Transitive overlaps are resolved
-    by union-find. On a 1-complex every part is locally closed, so the
+    Vertex i is merged into the edge {i, j} when p_ij <= gamma (comparisons
+    are exact; a zero reverse entry on an existing edge therefore merges at
+    every gamma). Each merge is the 2-cycle v <-> e, and the multivectors
+    are the SCCs of these 2-cycles, which closes overlapping merges
+    transitively. On a 1-complex every part is locally closed, so the
     result is always a valid field.
     """
     check_gamma(gamma)
-    dsu = DisjointSet(X.cell_count)
+    rows = P.entries.tolist()
+    adj: list[list[int]] = [[] for _ in X.cells()]
     for e, (i, j) in enumerate(X.edges, start=X.n):
-        if P.prob(i, j) <= gamma:
-            dsu.union(X.vertex(i), e)
-        if P.prob(j, i) <= gamma:
-            dsu.union(X.vertex(j), e)
-    return tuple(map(frozenset, dsu.groups()))
+        for v, w in ((i - 1, j - 1), (j - 1, i - 1)):  # cells of states i, j
+            if rows[v][w] <= gamma:
+                adj[v].append(e)
+                adj[e].append(v)
+    return tuple(sorted(map(frozenset, _tarjan_scc(adj)), key=min))

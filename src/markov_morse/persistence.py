@@ -42,9 +42,8 @@ from typing import Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
 from .dynamics import MorseSet, _condensation, _reach, morse_sets
-from .homology import TopologicalIndex, index_from_counts
+from .homology import TopologicalIndex, _counts, index_from_counts
 from .markov import ThresholdGrid, TransitionMatrix, _clip, threshold_grid
-from .unionfind import DisjointSet
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,25 @@ class FiltrationResult:
 
 
 def _replay(F: FiltrationResult) -> Iterator[Stage]:
-    """Rebuild the stages one grid value at a time; a set not born is shared with the stage before."""
+    """Rebuild the stages one grid value at a time; a set not born is shared with the stage before.
+
+    A lineage that absorbs a set not live at the previous stage, or that
+    gives a born set the label of a live set it did not absorb, raises
+    RuntimeError naming the grid value.
+    """
     current = {m.label: m for m in F.base}
     sets: tuple[MorseSet, ...] = ()
     index_of: dict[int, TopologicalIndex] = {}
     for births in F.births:
         if births.index_of:
             for label, parts in births.absorbed.items():
+                lost = [p for p in parts if p not in current]
+                if lost:
+                    raise RuntimeError(f"lineage at gamma={births.gamma} absorbs sets {lost} that are not live")
+                if label in current and label not in parts:
+                    raise RuntimeError(
+                        f"lineage at gamma={births.gamma} labels a born set {label}, a live set it did not absorb"
+                    )
                 current[label] = MorseSet(label, frozenset().union(*(current.pop(p).cells for p in parts)))
             sets = tuple(sorted(current.values(), key=lambda m: m.label))
             kept, born = index_of, births.index_of
@@ -108,36 +119,36 @@ def _replay(F: FiltrationResult) -> Iterator[Stage]:
 
 
 class _Part:
-    """The storage of one Morse set in the sweep: its label and the counts of its index."""
+    """The storage of one Morse set in the sweep: its label, its cells and the counts of its index."""
 
-    __slots__ = ("label", "vertices", "edges", "mouth")
+    __slots__ = ("label", "cells", "vertices", "mouth")
 
     def __init__(self, X: StateComplex, m: MorseSet):
         self.label = m.label
-        self.vertices = [c for c in m.cells if c < X.n]
-        self.edges = len(m.cells) - len(self.vertices)
-        ends = {i - 1 for c in m.cells if c >= X.n for i in X.edges[c - X.n]}  # state i is cell i - 1
-        self.mouth = ends - m.cells
+        self.cells = list(m.cells)
+        _, self.vertices, self.mouth = _counts(X, m.cells)
 
     def index(self) -> TopologicalIndex:
-        return index_from_counts(self.edges, len(self.vertices), len(self.mouth))
+        return index_from_counts(len(self.cells) - self.vertices, self.vertices, len(self.mouth))
 
 
 class _Sweep:
     """The condensation DAG of the cell digraph, coarsened one arc v -> e at a time.
 
-    Nodes are the union-find roots of the Morse sets, and each keeps its
-    label (smallest cell) in its `_Part`. A contraction keeps the root and
-    storage of its heaviest part, weighed by cells plus arcs, and moves only
-    the lighter parts' arcs, vertices and mouths into it (small into large).
+    Each node is a storage root: the label a Morse set had at the first
+    grid value, and `root_of` maps every cell to the root of its set. The
+    set's current label (smallest cell) is in its `_Part`. A contraction
+    keeps the root and storage of its heaviest part, weighed by cells plus
+    arcs, and moves only the lighter parts' arcs, cells and mouths into it
+    (small into large), relabelling just the cells it moves.
     """
 
     def __init__(self, X: StateComplex, sets: tuple[MorseSet, ...]):
-        self.set_uf = DisjointSet(X.cell_count)
+        self.root_of = [0] * X.cell_count
         self.part = {m.label: _Part(X, m) for m in sets}
         for m in sets:
-            for c in m.cells - {m.label}:
-                self.set_uf.link(m.label, c)
+            for c in m.cells:
+                self.root_of[c] = m.label
         self.succ = _condensation(X, sets)
         self.pred: dict[int, set[int]] = {s: set() for s in self.succ}
         for s, below in self.succ.items():
@@ -147,7 +158,7 @@ class _Sweep:
 
     def join(self, v: int, e: int) -> None:
         """Add the arc v -> e (a no-op if v and e share a Morse set)."""
-        top, bottom = self.set_uf.find(e), self.set_uf.find(v)
+        top, bottom = self.root_of[e], self.root_of[v]
         if top != bottom:
             # every set on a path top ~> bottom: a node that reaches bottom
             # from inside top's forward cone stays inside it on the way
@@ -155,8 +166,8 @@ class _Sweep:
 
     def _contract(self, merged: set[int]) -> None:
         """Replace the sets `merged`, a strongly connected group now, by their union."""
-        succ, pred, part = self.succ, self.pred, self.part
-        keep = max(merged, key=lambda r: len(part[r].vertices) + part[r].edges + len(succ[r]) + len(pred[r]))
+        succ, pred, part, root_of = self.succ, self.pred, self.part, self.root_of
+        keep = max(merged, key=lambda r: len(part[r].cells) + len(succ[r]) + len(pred[r]))
         into = part[keep]
         parts = self.born.pop(keep, [into.label])
         for r in merged - {keep}:
@@ -169,13 +180,14 @@ class _Sweep:
                 succ[w].add(keep)
                 pred[keep].add(w)
             light = part.pop(r)
+            for c in light.cells:
+                root_of[c] = keep
             into.label = min(into.label, light.label)
-            into.edges += light.edges
+            into.cells += light.cells
             into.vertices += light.vertices
-            into.mouth.difference_update(light.vertices)
-            into.mouth.update(x for x in light.mouth if self.set_uf.find(x) not in merged)
+            into.mouth.difference_update(light.cells)
+            into.mouth.update(x for x in light.mouth if root_of[x] not in merged)
             parts += self.born.pop(r, (light.label,))
-            self.set_uf.link(keep, r)
         succ[keep] -= merged
         pred[keep] -= merged
         self.born[keep] = parts

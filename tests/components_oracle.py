@@ -1,5 +1,9 @@
 """Test oracle: homology of any cell set from union-find component counts.
 
+The union-find left the library; it lives here with its two remaining
+uses. `build_mvf_by_union` is the field route the library replaced by
+the SCCs of the merge 2-cycles: singletons, then one union per merge.
+
 The library indexes only Morse sets, whose closures are connected, so it
 reads the index off three counts. This module keeps the general route it
 replaced, which counts the components of the graph with cl A's vertices and
@@ -17,9 +21,50 @@ from typing import Iterable, NamedTuple
 
 from markov_morse.cells import StateComplex
 from markov_morse.homology import TopologicalIndex
-from markov_morse.unionfind import DisjointSet
+from markov_morse.markov import TransitionMatrix
 
 from cells_oracle import is_closed
+
+
+class DisjointSet:
+    """Partition of the integers 0..n-1 into mergeable groups (path compression, union by size)."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:  # compress
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the groups of a and b; returns False if already merged."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def build_mvf_by_union(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[frozenset[int], ...]:
+    """The field at gamma by union-find: merge vertex i into edge {i, j} when p_ij <= gamma."""
+    dsu = DisjointSet(X.cell_count)
+    for e, (i, j) in enumerate(X.edges, start=X.n):
+        if P.prob(i, j) <= gamma:
+            dsu.union(X.vertex(i), e)
+        if P.prob(j, i) <= gamma:
+            dsu.union(X.vertex(j), e)
+    groups: dict[int, list[int]] = {}
+    for c in X.cells():
+        groups.setdefault(dsu.find(c), []).append(c)
+    return tuple(frozenset(g) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 
 class _Components(NamedTuple):

@@ -1,6 +1,7 @@
 """Random chain generation, stability trials, property trials."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,9 +176,10 @@ class TestPropertyTrials:
 
     def test_report_serializes(self):
         import json
+        from dataclasses import asdict
 
         report = property_trials(RandomChainSpec(n=3, density=0.9, seed=8), 3)
-        text = json.dumps(report.as_dict())
+        text = json.dumps(asdict(report))
         assert '"violations": 0' in text
 
     def test_trial_count_validation(self):
@@ -275,6 +277,56 @@ class TestPropertyTrials:
         gamma, lasting = stale[0]
         failures = [f for f in report.failures if "differ from the static route" in f]
         assert len(failures) == lasting and failures[0].endswith(f"at gamma={gamma}")
+
+    @staticmethod
+    def _assert_reported_at(monkeypatch, capsys, tamper):
+        # a lineage the replay cannot follow is one failure at the tampered
+        # gamma, not a crash, and the CLI exits 3 for it
+        import markov_morse.harness as harness
+        from markov_morse.cli import main
+
+        tampered = []
+
+        def tampering(P):
+            F = run_filtration(P)
+            births = list(F.births)
+            k = tamper(F, births)
+            tampered.append(births[k].gamma)
+            return replace(F, births=tuple(births))
+
+        monkeypatch.setattr(harness, "run_filtration", tampering)
+        report = property_trials(RandomChainSpec(n=5, seed=2), 1)
+        assert report.violations == 1
+        assert f"lineage at gamma={tampered[0]} " in report.failures[0]
+        assert report.checks == {"static_route": 0, "containment": 0, "diagram_shape": 0}
+        assert main(["properties", "--random", "5", "--trials", "1", "--seed", "2"]) == 3
+        assert f"lineage at gamma={tampered[-1]} " in capsys.readouterr().out
+
+    def test_absorbing_a_set_not_live_is_reported(self, monkeypatch, capsys):
+        def absorb_dead(F, births):
+            # a later merge lists a set that an earlier merge already absorbed
+            k = next(k for k, b in enumerate(births) if b.absorbed)
+            label, parts = next(iter(births[k].absorbed.items()))
+            dead = next(p for p in parts if p != label)
+            j = next(j for j in range(k + 1, len(births)) if births[j].absorbed)
+            born, parts = next(iter(births[j].absorbed.items()))
+            births[j] = births[j]._replace(absorbed={**births[j].absorbed, born: (*parts, dead)})
+            return j
+
+        self._assert_reported_at(monkeypatch, capsys, absorb_dead)
+
+    def test_born_set_taking_a_live_label_is_reported(self, monkeypatch, capsys):
+        def steal_label(F, births):
+            # a born set is filed under the label of a set that stays live
+            k = next(k for k, b in enumerate(births) if b.absorbed)
+            label, parts = next(iter(births[k].absorbed.items()))
+            live = next(m.label for m in F.stages[k - 1].morse_sets if m.label not in parts)
+            absorbed = {(live if t == label else t): p for t, p in births[k].absorbed.items()}
+            index_of = {(live if t == label else t): i for t, i in births[k].index_of.items()}
+            births[k] = births[k]._replace(absorbed=absorbed, index_of=index_of)
+            return k
+
+        self._assert_reported_at(monkeypatch, capsys, steal_label)
 
     def test_negative_seed_rejected(self):
         # the spec carries the seed, so it is refused before any trial runs

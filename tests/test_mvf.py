@@ -2,9 +2,10 @@
 
 import pytest
 
-from markov_morse import TransitionMatrix, build_complex, build_mvf, threshold_grid
+from markov_morse import RandomChainSpec, TransitionMatrix, build_complex, build_mvf, random_chain, threshold_grid
 
 from cells_oracle import edge, is_coarsening, is_valid_mvf
+from components_oracle import build_mvf_by_union
 from conftest import E, V
 from mgraph_oracle import vector_of
 
@@ -151,3 +152,15 @@ class TestCoarsening:
         mine = build_mvf(worked_complex, worked_matrix, 0.0)
         with pytest.raises(ValueError, match="different complexes"):
             is_coarsening(mine, other)
+
+
+@pytest.mark.parametrize("density", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("n", [9, 12, 16, 24])
+def test_scc_field_matches_the_union_find_route(n, density):
+    # the frozen cell outputs stop at n=8; past it, the SCCs of the merge
+    # 2-cycles must give the union-find field, order included, at every
+    # grid value
+    P = random_chain(RandomChainSpec(n, density, seed=n))
+    X = build_complex(P)
+    for gamma in threshold_grid(P):
+        assert build_mvf(X, P, gamma) == build_mvf_by_union(X, P, gamma)
