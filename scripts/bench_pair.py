@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEDULE = (("sweep", 10), ("match", 3), ("stability", 10))  # (workload, pairs)
+SCHEDULE = (("sweep", 10), ("match", 10), ("stability", 10))  # (workload, pairs)
 SEED = 1
 SECONDS = 30
 

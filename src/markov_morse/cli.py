@@ -119,7 +119,6 @@ def _cmd_morse(args) -> int:
     P = _load_matrix(args.matrix)
     X = build_complex(P)
     sets = morse_sets(X, P, args.gamma)
-    order = morse_order(X, sets)
     _emit(
         {
             "gamma": args.gamma,
@@ -132,7 +131,7 @@ def _cmd_morse(args) -> int:
                 for m in sets
             ],
             "order": [
-                [format_cell(X, a, P.states), format_cell(X, b, P.states)] for a, b in order.pairs()
+                [format_cell(X, a, P.states), format_cell(X, b, P.states)] for a, b in morse_order(X, sets)
             ],
         }
     )

@@ -16,8 +16,9 @@ probability of leaving v along e is <= gamma, which is exactly when
 v <-> e, so every multivector is strongly connected in the cell digraph,
 and every arc between two multivectors is an incidence e -> v. Contracting
 the multivectors therefore gives the M-graph, and the cell digraph has the
-same SCCs: the Morse sets. A v -> e arc never leaves its SCC, so the
-condensation DAG is read off the incidences alone.
+same SCCs: the Morse sets. A v -> e arc never leaves its SCC, so the arcs
+of the condensation DAG are the incidences e -> v with v outside e's set:
+the sets below a Morse set are those that meet its mouth.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .cells import StateComplex
+from .homology import _counts
 from .markov import TransitionMatrix
 
 
@@ -108,47 +110,24 @@ def morse_sets(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[Mors
     return tuple(sorted(sets, key=lambda m: m.label))
 
 
-def _condensation(X: StateComplex, sets: tuple[MorseSet, ...]) -> dict[int, set[int]]:
-    """The condensation DAG of the cell digraph: set label -> labels one incidence below."""
-    set_of = {c: m.label for m in sets for c in m.cells}
-    dag: dict[int, set[int]] = {m.label: set() for m in sets}
-    for e, (i, j) in enumerate(X.edges, start=X.n):
-        for v in (i - 1, j - 1):
-            if set_of[e] != set_of[v]:
-                dag[set_of[e]].add(set_of[v])
-    return dag
-
-
-def _reach(start: int, arcs: dict[int, set[int]], within=None) -> set[int]:
-    """Nodes reachable from start along arcs, staying inside `within` if given.
-
-    With `within`, only the arcs into it are walked: `arcs[x] & within`
-    costs the smaller of the two sets, not the out-degree of x.
-    """
+def _reach(start: int, arcs: dict[int, set[int]]) -> set[int]:
+    """Nodes reachable from start along arcs, start included."""
     seen = {start}
     stack = [start]
     while stack:
         x = stack.pop()
-        for w in arcs[x] if within is None else arcs[x] & within:
+        for w in arcs[x]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
 
 
-@dataclass(frozen=True)
-class MorseOrder:
-    """Reachability order on Morse sets: relations holds the strict pairs (above, below)."""
+def morse_order(X: StateComplex, sets: tuple[MorseSet, ...]) -> list[tuple[int, int]]:
+    """Strict reachability between the Morse sets `morse_sets` gives for X, as sorted (above, below) pairs.
 
-    labels: tuple[int, ...]
-    relations: frozenset[tuple[int, int]]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.relations)
-
-
-def morse_order(X: StateComplex, sets: tuple[MorseSet, ...]) -> MorseOrder:
-    """Strict reachability between the Morse sets `morse_sets` gives for X."""
-    dag = _condensation(X, sets)
-    relations = {(u, w) for u in dag for w in _reach(u, dag) if w != u}
-    return MorseOrder(tuple(m.label for m in sets), frozenset(relations))
+    The sets one arc below a set are those that hold a vertex of its mouth.
+    """
+    set_of = {c: m.label for m in sets for c in m.cells}
+    dag = {m.label: {set_of[v] for v in _counts(X, m.cells)[2]} for m in sets}
+    return sorted((u, w) for u in dag for w in _reach(u, dag) if w != u)

@@ -4,19 +4,20 @@ Raising gamma past an entry p_ij merges vertex i into the multivector of an
 incident edge e, so the fields over the grid form a coarsening chain and
 each Morse set at one stage sits inside exactly one Morse set at the next.
 `run_filtration` sweeps the grid once. It starts from `morse_sets` at the
-first grid value, which also gives the condensation DAG of the cell
-digraph; then the directed entries are sorted, and at each grid value every
-entry <= gamma is applied before the stage is recorded. Entries at or below
-the first grid value are already inside a Morse set and change nothing.
-Every multivector lies inside one Morse set, so only the sets are kept; the
-field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
+first grid value; then the directed entries are sorted, and at each grid
+value every entry <= gamma is applied before the stage is recorded. Entries
+at or below the first grid value are already inside a Morse set and change
+nothing. Every multivector lies inside one Morse set, so only the sets are
+kept; the field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
 
 Applying the entry of vertex v and edge e adds the arc v -> e to the cell
 digraph (see `dynamics`), and the arc e -> v exists already. So the sets
-that become one are exactly those on a path SCC(e) ~> W ~> SCC(v): a
-forward search from SCC(e) intersected with a backward search from SCC(v).
-They are contracted into one node; every other set, its index and its
-track carry over unchanged. The contraction keeps the storage of the
+that become one are exactly those on a path SCC(e) ~> W ~> SCC(v). The
+arcs out of a set end in its mouth, which the set keeps for its index
+anyway: a forward search from SCC(e) through the mouths finds the sets
+below it, and a search back from SCC(v) inside that cone finds the ones on
+a path. They are contracted into one node; every other set, its index and
+its track carry over unchanged. The contraction keeps the storage of the
 heaviest part and moves only the lighter parts', and it keeps the three
 counts of the index (see `homology`) up to date, so no set is re-read.
 
@@ -41,7 +42,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet, _condensation, _reach, morse_sets
+from .dynamics import MorseSet, _reach, morse_sets
 from .homology import TopologicalIndex, _counts, index_from_counts
 from .markov import ThresholdGrid, TransitionMatrix, _clip, threshold_grid
 
@@ -94,9 +95,9 @@ class FiltrationResult:
 def _replay(F: FiltrationResult) -> Iterator[Stage]:
     """Rebuild the stages one grid value at a time; a set not born is shared with the stage before.
 
-    A lineage that absorbs a set not live at the previous stage, or that
-    gives a born set the label of a live set it did not absorb, raises
-    RuntimeError naming the grid value.
+    A lineage that absorbs a set not live at the previous stage, lists an
+    absorbed set twice, or gives a born set the label of a live set it did
+    not absorb, raises RuntimeError naming the grid value.
     """
     current = {m.label: m for m in F.base}
     sets: tuple[MorseSet, ...] = ()
@@ -107,6 +108,8 @@ def _replay(F: FiltrationResult) -> Iterator[Stage]:
                 lost = [p for p in parts if p not in current]
                 if lost:
                     raise RuntimeError(f"lineage at gamma={births.gamma} absorbs sets {lost} that are not live")
+                if len(set(parts)) < len(parts):
+                    raise RuntimeError(f"lineage at gamma={births.gamma} lists an absorbed set twice in {parts}")
                 if label in current and label not in parts:
                     raise RuntimeError(
                         f"lineage at gamma={births.gamma} labels a born set {label}, a live set it did not absorb"
@@ -137,10 +140,12 @@ class _Sweep:
 
     Each node is a storage root: the label a Morse set had at the first
     grid value, and `root_of` maps every cell to the root of its set. The
-    set's current label (smallest cell) is in its `_Part`. A contraction
-    keeps the root and storage of its heaviest part, weighed by cells plus
-    arcs, and moves only the lighter parts' arcs, cells and mouths into it
-    (small into large), relabelling just the cells it moves.
+    set's current label (smallest cell) is in its `_Part`. The arcs of the
+    DAG are not stored: the sets below a set are those that hold a vertex
+    of its mouth. A contraction keeps the root and storage of its heaviest
+    part, weighed by cells plus mouth, and moves only the lighter parts'
+    cells and mouths into it (small into large), relabelling just the cells
+    it moves.
     """
 
     def __init__(self, X: StateComplex, sets: tuple[MorseSet, ...]):
@@ -149,36 +154,34 @@ class _Sweep:
         for m in sets:
             for c in m.cells:
                 self.root_of[c] = m.label
-        self.succ = _condensation(X, sets)
-        self.pred: dict[int, set[int]] = {s: set() for s in self.succ}
-        for s, below in self.succ.items():
-            for w in below:
-                self.pred[w].add(s)
         self.born: dict[int, list[int]] = {}  # root -> previous-stage labels
 
     def join(self, v: int, e: int) -> None:
         """Add the arc v -> e (a no-op if v and e share a Morse set)."""
         top, bottom = self.root_of[e], self.root_of[v]
         if top != bottom:
-            # every set on a path top ~> bottom: a node that reaches bottom
-            # from inside top's forward cone stays inside it on the way
-            self._contract(_reach(bottom, self.pred, within=_reach(top, self.succ)))
+            # top's forward cone with its arcs reversed; it holds bottom, since
+            # v is in the mouth of e's set, and the sets on a path top ~> bottom
+            # are those that bottom reaches in it
+            root_of, part = self.root_of, self.part
+            above: dict[int, set[int]] = {top: set()}
+            stack = [top]
+            while stack:
+                x = stack.pop()
+                for w in {root_of[c] for c in part[x].mouth}:
+                    if w not in above:
+                        above[w] = set()
+                        stack.append(w)
+                    above[w].add(x)
+            self._contract(_reach(bottom, above))
 
     def _contract(self, merged: set[int]) -> None:
         """Replace the sets `merged`, a strongly connected group now, by their union."""
-        succ, pred, part, root_of = self.succ, self.pred, self.part, self.root_of
-        keep = max(merged, key=lambda r: len(part[r].cells) + len(succ[r]) + len(pred[r]))
+        part, root_of = self.part, self.root_of
+        keep = max(merged, key=lambda r: len(part[r].cells) + len(part[r].mouth))
         into = part[keep]
         parts = self.born.pop(keep, [into.label])
         for r in merged - {keep}:
-            for w in succ.pop(r) - merged:
-                pred[w].discard(r)
-                pred[w].add(keep)
-                succ[keep].add(w)
-            for w in pred.pop(r) - merged:
-                succ[w].discard(r)
-                succ[w].add(keep)
-                pred[keep].add(w)
             light = part.pop(r)
             for c in light.cells:
                 root_of[c] = keep
@@ -188,8 +191,6 @@ class _Sweep:
             into.mouth.difference_update(light.cells)
             into.mouth.update(x for x in light.mouth if root_of[x] not in merged)
             parts += self.born.pop(r, (light.label,))
-        succ[keep] -= merged
-        pred[keep] -= merged
         self.born[keep] = parts
 
     def record(self, gamma: float) -> Births:
@@ -393,5 +394,7 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         if not (isinstance(index, list) and len(index) == 2 and all(map(_is_count, index))):
             raise ValueError(f"point {k}: index must be a pair of ints >= 0, got {_clip(index)}")
         death = math.inf if death == "inf" else float(death)
+        if not death > birth:
+            raise ValueError(f"point {k}: death {death!r} must exceed birth {float(birth)!r}")
         points.append(PersistencePoint(float(birth), death, TopologicalIndex(*index)))
     return PersistenceDiagram(tuple(points), ThresholdGrid(tuple(map(float, grid))))

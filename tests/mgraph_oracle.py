@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from markov_morse.cells import StateComplex
-from markov_morse.dynamics import MorseOrder, MorseSet
+from markov_morse.dynamics import MorseSet
 
 from cells_oracle import Field, closure, mouth
 
@@ -119,8 +119,8 @@ def morse_sets(G: MGraph, V: Field) -> tuple[MorseSet, ...]:
     return tuple(sorted(sets, key=lambda m: m.label))
 
 
-def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
-    """Condense the M-graph and take transitive reachability between SCCs."""
+def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> list[tuple[int, int]]:
+    """Condense the M-graph and take transitive reachability between SCCs, as sorted (above, below) pairs."""
     set_of = {c: m.label for m in sets for c in m.cells}  # arc ends are labels, so cells
     dag: dict[int, set[int]] = {m.label: set() for m in sets}
     for u, w in G.arcs:
@@ -150,8 +150,7 @@ def morse_order(G: MGraph, sets: tuple[MorseSet, ...]) -> MorseOrder:
             acc |= reach[w]
         reach[u] = acc
 
-    relations = {(u, below) for u, acc in reach.items() for below in acc}
-    return MorseOrder(tuple(m.label for m in sets), frozenset(relations))
+    return sorted((u, below) for u, acc in reach.items() for below in acc)
 
 
 def mgraph_by_mouths(V: Field, X: StateComplex) -> MGraph:

@@ -255,8 +255,18 @@ class TestExitCodes:
             ([0.0], {"birth": 10**401}, "point 0: birth must be a finite number"),
             ([0.0, 10**401], {}, "grid must be a list of finite numbers"),
             ([0.0], {"index": [-1, 0]}, "point 0: index must be a pair of ints >= 0"),
+            ([0.0], {"birth": 0.4, "death": 0.2}, "point 0: death 0.2 must exceed birth 0.4"),
+            ([0.1, 0.2], {}, "grid must start at 0.0"),
+            ([0.0, 0.3, 0.2], {}, "grid values must be strictly increasing"),
         ],
-        ids=["huge_birth", "huge_grid_value", "negative_index"],
+        ids=[
+            "huge_birth",
+            "huge_grid_value",
+            "negative_index",
+            "death_below_birth",
+            "grid_not_from_0",
+            "grid_not_increasing",
+        ],
     )
     def test_out_of_range_diagram_field(self, capsys, tmp_path, grid, point, message):
         bad = tmp_path / "d.json"

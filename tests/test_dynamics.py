@@ -38,7 +38,7 @@ def field_at(worked_matrix, worked_complex):
 
 def ge(order, above, below):
     """above >= below in the reflexive closure of the strict Morse order."""
-    return above == below or (above, below) in order.relations
+    return above == below or (above, below) in order
 
 
 def probe_gammas(P):
@@ -58,7 +58,7 @@ def assert_matches_mgraph_oracle(P, where=""):
         assert build_mgraph(fld, X) == G
         sets = morse_sets(X, P, gamma)
         assert sets == oracle.morse_sets(G, fld), f"{where} at gamma={gamma}"
-        assert morse_order(X, sets).pairs() == oracle.morse_order(G, sets).pairs(), f"{where} at gamma={gamma}"
+        assert morse_order(X, sets) == oracle.morse_order(G, sets), f"{where} at gamma={gamma}"
         probes += 1
         proper += sum(u != w for u, w in G.arcs)
     return probes, proper
@@ -194,7 +194,7 @@ class TestMorseSets:
 class TestMorseOrder:
     def test_base_stage_order(self, worked_matrix, worked_complex):
         order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.0))
-        assert set(order.pairs()) == {
+        assert set(order) == {
             (E(1, 2), V(1)),
             (E(1, 2), V(2)),
             (E(1, 3), V(1)),
@@ -205,7 +205,7 @@ class TestMorseOrder:
 
     def test_gamma_015_order(self, worked_matrix, worked_complex):
         order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.15))
-        assert set(order.pairs()) == {
+        assert set(order) == {
             (E(1, 2), V(1)),
             (E(1, 2), V(2)),
             (V(3), V(1)),
@@ -213,13 +213,13 @@ class TestMorseOrder:
         }
 
     def test_ge_is_reflexive(self, worked_matrix, worked_complex):
-        # the relations are strict; >= is their reflexive closure on the labels
+        # the pairs are strict and sorted; >= is their reflexive closure on the labels
         sets = morse_sets(worked_complex, worked_matrix, 0.15)
         order = morse_order(worked_complex, sets)
-        assert order.labels == tuple(m.label for m in sets)
-        for lbl in order.labels:
-            assert (lbl, lbl) not in order.relations
-            assert ge(order, lbl, lbl)
+        assert order == sorted(set(order))
+        for m in sets:
+            assert (m.label, m.label) not in order
+            assert ge(order, m.label, m.label)
 
     def test_antisymmetry_and_transitivity_on_random_chains(self):
         rng = random.Random(99)
@@ -230,7 +230,7 @@ class TestMorseOrder:
             for gamma in list(threshold_grid(P))[:: max(1, spec.n - 2)]:
                 sets = morse_sets(X, P, gamma)
                 order = morse_order(X, sets)
-                rel = set(order.pairs())
+                rel = set(order)
                 for a, b in rel:
                     assert (b, a) not in rel, "antisymmetry"
                 for a, b in rel:

@@ -170,6 +170,15 @@ class TestPropertyTrials:
         assert report.failures == ()
         assert all(count > 0 for count in report.checks.values())
 
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_stage_checks_beyond_n12(self, n):
+        # the stage-by-stage oracle comparisons stop at n=12; the harness
+        # checks every replayed stage of larger chains against the static route
+        report = property_trials(RandomChainSpec(n, 0.7, seed=n), 2)
+        assert report.violations == 0
+        assert report.checks["static_route"] > 0
+        assert report.checks["containment"] > 0
+
     def test_sparse_chains(self):
         report = property_trials(RandomChainSpec(n=6, density=0.25, seed=55), 10)
         assert report.violations == 0
@@ -314,6 +323,16 @@ class TestPropertyTrials:
             return j
 
         self._assert_reported_at(monkeypatch, capsys, absorb_dead)
+
+    def test_set_absorbed_twice_is_reported(self, monkeypatch, capsys):
+        def absorb_twice(F, births):
+            # a merge lists one of its absorbed sets a second time
+            k = next(k for k, b in enumerate(births) if b.absorbed)
+            label, parts = next(iter(births[k].absorbed.items()))
+            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: (*parts, parts[0])})
+            return k
+
+        self._assert_reported_at(monkeypatch, capsys, absorb_twice)
 
     def test_born_set_taking_a_live_label_is_reported(self, monkeypatch, capsys):
         def steal_label(F, births):

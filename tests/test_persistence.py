@@ -306,6 +306,11 @@ class TestDiagramJson:
         with pytest.raises(ValueError, match="point 0: death must be a finite number or \"inf\""):
             diagram_from_json(self.one_point(death=death))
 
+    @pytest.mark.parametrize("birth, death", [(0.4, 0.2), (0.3, 0.3), (1, 1)])
+    def test_death_not_above_birth(self, birth, death):
+        with pytest.raises(ValueError, match="point 0: death .* must exceed birth"):
+            diagram_from_json(self.one_point(birth=birth, death=death))
+
     @pytest.mark.parametrize(
         "grid", [None, 0.0, [[0.0]], ["0.0"], [0.0, float("nan")], pytest.param([0.0, 10**401], id="huge_int")]
     )
