@@ -21,13 +21,13 @@ from .cells import build_complex, format_cell
 from .dynamics import morse_order, morse_sets
 from .harness import RandomChainSpec, property_trials, stability_trials
 from .homology import topological_index
-from .markov import MatrixError, TransitionMatrix, parse_matrix, threshold_grid
+from .markov import MatrixError, TransitionMatrix, _decode_json, _matrix_from_obj, parse_matrix, threshold_grid
 from .mvf import build_mvf
 from .persistence import (
     PersistenceDiagram,
     PersistencePoint,
+    _diagram_from_obj,
     build_diagram,
-    diagram_from_json,
     diagram_to_json,
     run_filtration,
 )
@@ -47,25 +47,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_matrix(path: str) -> TransitionMatrix:
-    text = Path(path).read_text()
-    fmt = "json" if path.endswith(".json") or text.lstrip().startswith("{") else "csv"
-    return parse_matrix(text, fmt)
+def _read(path: str, *, diagram: bool = False) -> TransitionMatrix | PersistenceDiagram:
+    """The matrix in a file, or with `diagram` its diagram or the diagram the file holds; read and parsed once.
 
-
-def _load_diagram_or_matrix(path: str) -> PersistenceDiagram:
-    """A diagram JSON is used as-is; a matrix runs the full pipeline."""
+    The file is JSON if its name ends in .json or its text starts with "{", and CSV otherwise.
+    """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON is nested too deeply") from None
-        if "points" in obj:
-            return diagram_from_json(text)
-        return build_diagram(run_filtration(parse_matrix(text, "json")))
-    return build_diagram(run_filtration(parse_matrix(text, "csv")))
+    if path.endswith(".json") or text.lstrip().startswith("{"):
+        obj = _decode_json(text)
+        if diagram and isinstance(obj, dict) and "points" in obj:
+            return _diagram_from_obj(obj)
+        P = _matrix_from_obj(obj)
+    else:
+        P = parse_matrix(text, "csv")
+    return build_diagram(run_filtration(P)) if diagram else P
 
 
 def _parse_random_spec(text: str, seed: int) -> RandomChainSpec:
@@ -97,13 +92,13 @@ def _emit(obj) -> None:
 
 
 def _cmd_thresholds(args) -> int:
-    P = _load_matrix(args.matrix)
+    P = _read(args.matrix)
     _emit({"grid": list(threshold_grid(P))})
     return 0
 
 
 def _cmd_mvf(args) -> int:
-    P = _load_matrix(args.matrix)
+    P = _read(args.matrix)
     X = build_complex(P)
     fld = build_mvf(X, P, args.gamma)
     _emit(
@@ -116,7 +111,7 @@ def _cmd_mvf(args) -> int:
 
 
 def _cmd_morse(args) -> int:
-    P = _load_matrix(args.matrix)
+    P = _read(args.matrix)
     X = build_complex(P)
     sets = morse_sets(X, P, args.gamma)
     _emit(
@@ -139,7 +134,7 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    P = _load_matrix(args.matrix)
+    P = _read(args.matrix)
     D = build_diagram(run_filtration(P))
     if args.svg:
         Path(args.svg).write_text(render_diagram_svg(D))
@@ -149,8 +144,8 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_bottleneck(args) -> int:
-    D1 = _load_diagram_or_matrix(args.a)
-    D2 = _load_diagram_or_matrix(args.b)
+    D1 = _read(args.a, diagram=True)
+    D2 = _read(args.b, diagram=True)
     result = bottleneck_matching(D1, D2)
     ids1 = _occurrence_ids(D1.points, "a")
     ids2 = _occurrence_ids(D2.points, "b")
@@ -180,11 +175,12 @@ def _cmd_bottleneck(args) -> int:
 
 def _cmd_stability(args) -> int:
     if (args.matrix is None) == (args.random is None):
-        raise SystemExit(_usage("stability needs a matrix file or --random, not both"))
+        print("error: stability needs a matrix file or --random, not both", file=sys.stderr)
+        return USAGE_ERROR
     if args.random is not None:
         source = _parse_random_spec(args.random, args.seed)
     else:
-        source = _load_matrix(args.matrix)
+        source = _read(args.matrix)
     report = stability_trials(
         source,
         args.trials,
@@ -207,11 +203,6 @@ def _cmd_properties(args) -> int:
         print(f"{report.violations} violation(s) detected", file=sys.stderr)
         return VIOLATION
     return 0
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ from .markov import (
 )
 from .dynamics import morse_sets
 from .homology import topological_index
-from .persistence import build_diagram, containment_map, run_filtration
+from .persistence import Stage, build_diagram, run_filtration
 
 # random_chain holds about three n x n float64 arrays at once (weights, mask
 # draw, validated copy): some 400 MB at this size, and a chain far beyond
@@ -103,9 +103,7 @@ def _sample_perturbation(
     ]
     if not candidates:
         return None
-    others = {
-        float(v) for k, row in enumerate(P.entries) for m, v in enumerate(row) if k != m
-    }
+    others = set(P.entries[~np.eye(n, dtype=bool)].tolist())
     order = rng.permutation(len(candidates))
     high = 0.99 * delta_cap if strict else delta_cap
     for k in order:
@@ -182,6 +180,7 @@ def stability_trials(
     if seed is None:
         seed = 0 if fixed else source.seed
     master = np.random.default_rng(seed)
+    fixed_diagram = build_diagram(run_filtration(source)) if fixed else None
     mode = "single" if n_entries == 1 else "multi"
     records = []
     counterexamples = []
@@ -214,7 +213,8 @@ def stability_trials(
                 raise ValueError("matrix does not admit the requested perturbations")
             continue  # resample a fresh chain
         dist = matrix_distance(P, Q)
-        d_b = bottleneck_distance(build_diagram(run_filtration(P)), build_diagram(run_filtration(Q)))
+        D = fixed_diagram if fixed else build_diagram(run_filtration(P))
+        d_b = bottleneck_distance(D, build_diagram(run_filtration(Q)))
         if mode == "single":
             bound = dist.delta_inf
             violated = d_b > bound
@@ -256,19 +256,40 @@ class PropertyReport:
     failures: tuple[str, ...]
 
 
+def containment_map(prev: Stage, nxt: Stage) -> dict[int, int]:
+    """Label of the next-stage Morse set containing each previous Morse set.
+
+    Totality is a theorem of the construction; a previous set straddling two
+    next sets signals an implementation bug and raises.
+    """
+    owner: dict[int, int] = {}
+    for m in nxt.morse_sets:
+        for c in m.cells:
+            owner[c] = m.label
+    result: dict[int, int] = {}
+    for m in prev.morse_sets:
+        targets = {owner[c] for c in m.cells}
+        if len(targets) != 1:
+            raise RuntimeError(
+                f"Morse set {m.label} at gamma={prev.gamma} straddles {len(targets)} sets at gamma={nxt.gamma}"
+            )
+        result[m.label] = targets.pop()
+    return result
+
+
 def property_trials(spec: RandomChainSpec, trials: int) -> PropertyReport:
     """Checks of the swept filtration over random chains.
 
-    The stages checked are `F.stages`, replayed from the sweep's births
-    records, so a wrong lineage shows as stages that differ from the
-    static route. Per chain and stage, `static_route`: the stage's Morse
-    sets are those `morse_sets` gives at its gamma, and each carries the index
+    The stages checked are `F.stages`, replayed from the sweep's birth log,
+    so a wrong birth shows as stages that differ from the static route. Per
+    chain and stage, `static_route`: the stage's Morse sets are those
+    `morse_sets` gives at its gamma, and each carries the index
     `topological_index` gives it. Per pair of stages, `containment`: Morse
     sets nest into exactly one successor, and the stage's lineage lists
     exactly the sets that merged. Per chain, `diagram_shape`: the diagram's
     immortal points equal the final stage's Morse sets and every death
-    exceeds its birth. A lineage the replay cannot follow is one failure,
-    and the trial's other checks are skipped.
+    exceeds its birth. A log the replay cannot follow is one failure, and
+    the trial's other checks are skipped.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -168,7 +168,7 @@ def parse_matrix(text: str, fmt: str = "csv") -> TransitionMatrix:
     if fmt == "csv":
         return _parse_csv(text)
     if fmt == "json":
-        return _parse_json(text)
+        return _matrix_from_obj(_decode_json(text))
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -202,13 +202,18 @@ def _parse_csv(text: str) -> TransitionMatrix:
     return TransitionMatrix(rows, states)
 
 
-def _parse_json(text: str) -> TransitionMatrix:
+def _decode_json(text: str):
+    """json.loads, with malformed or too deeply nested text raised as MatrixParseError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise MatrixParseError("invalid JSON: nested too deeply") from None
+
+
+def _matrix_from_obj(obj) -> TransitionMatrix:
+    """The matrix in a decoded JSON value of the form parse_matrix documents."""
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise MatrixParseError('expected an object with a "matrix" key')
     matrix = obj["matrix"]

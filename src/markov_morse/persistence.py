@@ -21,10 +21,10 @@ its track carry over unchanged. The contraction keeps the storage of the
 heaviest part and moves only the lighter parts', and it keeps the three
 counts of the index (see `homology`) up to date, so no set is re-read.
 
-The result stores the base sets once and, per grid value, only what was
-born there: the lineage and the index of each born set (`Births`). That is
-all `build_diagram` reads. `FiltrationResult.stages` replays the records
-into full per-stage snapshots on demand, for the checks that compare them.
+The result keeps the base sets and a flat log of one `Birth` (grid value,
+label, lineage, index) per Morse set born, base sets first; that is all
+`build_diagram` reads. `FiltrationResult.stages` walks the grid beside the
+log into full per-stage snapshots on demand, for the checks.
 
 Tracks follow these contractions. A track dies when its decoration stops
 matching its containing set's (index-change death) or when an older or
@@ -64,61 +64,78 @@ class Stage:
     absorbed: dict[int, tuple[int, ...]] = field(compare=False)
 
 
-class Births(NamedTuple):
-    """What the sweep records at one grid value: the Morse sets born there.
+class Birth(NamedTuple):
+    """One Morse set born in the sweep: its grid value, label, lineage and index.
 
-    `absorbed` is the stage's lineage, as in `Stage`, and `index_of` holds
-    the index of each set born at `gamma`. At the first grid value every
-    base set counts as born: `absorbed` is empty and `index_of` covers them all.
+    `parts` are the sorted labels of the previous-stage sets it is the union
+    of. The base sets are born at the first grid value with no parts.
     """
 
     gamma: float
-    absorbed: dict[int, tuple[int, ...]]
-    index_of: dict[int, TopologicalIndex]
+    label: int
+    parts: tuple[int, ...]
+    index: TopologicalIndex
 
 
 @dataclass(frozen=True)
 class FiltrationResult:
-    """The swept filtration: the Morse sets at the first grid value and one `Births` per grid value."""
+    """The swept filtration: the Morse sets at the first grid value and a `Birth` per set born, in grid order."""
 
     grid: ThresholdGrid
     complex: StateComplex
     base: tuple[MorseSet, ...]
-    births: tuple[Births, ...]
+    births: tuple[Birth, ...]
 
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
-        """Every stage in full, replayed from the base sets and the lineage on first use."""
+        """Every stage in full, replayed from the base sets and the birth log on first use."""
         return tuple(_replay(self))
 
 
 def _replay(F: FiltrationResult) -> Iterator[Stage]:
     """Rebuild the stages one grid value at a time; a set not born is shared with the stage before.
 
-    A lineage that absorbs a set not live at the previous stage, lists an
-    absorbed set twice, or gives a born set the label of a live set it did
-    not absorb, raises RuntimeError naming the grid value.
+    A birth off the grid or out of grid order, without parts but not a base
+    set, absorbing a set not live or twice, or taking the label of a live
+    set it did not absorb raises RuntimeError naming its grid value.
     """
-    current = {m.label: m for m in F.base}
+    base = {m.label: m for m in F.base}
+    current: dict[int, MorseSet] = {}
     sets: tuple[MorseSet, ...] = ()
     index_of: dict[int, TopologicalIndex] = {}
-    for births in F.births:
-        if births.index_of:
-            for label, parts in births.absorbed.items():
-                lost = [p for p in parts if p not in current]
-                if lost:
-                    raise RuntimeError(f"lineage at gamma={births.gamma} absorbs sets {lost} that are not live")
-                if len(set(parts)) < len(parts):
-                    raise RuntimeError(f"lineage at gamma={births.gamma} lists an absorbed set twice in {parts}")
-                if label in current and label not in parts:
-                    raise RuntimeError(
-                        f"lineage at gamma={births.gamma} labels a born set {label}, a live set it did not absorb"
-                    )
+    births, k = F.births, 0
+    for gamma in F.grid:
+        absorbed: dict[int, tuple[int, ...]] = {}
+        born: dict[int, TopologicalIndex] = {}
+        while k < len(births) and births[k].gamma == gamma:
+            _, label, parts, index = births[k]
+            if not parts and (gamma != F.grid[0] or label not in base):
+                raise RuntimeError(f"lineage at gamma={gamma} has a birth with no parts that is not a base set")
+            lost = [p for p in parts if p not in current]
+            if lost:
+                raise RuntimeError(f"lineage at gamma={gamma} absorbs sets {lost} that are not live")
+            if len(set(parts)) < len(parts):
+                raise RuntimeError(f"lineage at gamma={gamma} lists an absorbed set twice in {parts}")
+            if label in current and label not in parts:
+                raise RuntimeError(
+                    f"lineage at gamma={gamma} labels a born set {label}, a live set it did not absorb"
+                )
+            if parts:
                 current[label] = MorseSet(label, frozenset().union(*(current.pop(p).cells for p in parts)))
+                absorbed[label] = parts
+            else:
+                current[label] = base[label]
+            born[label] = index
+            k += 1
+        if born:
             sets = tuple(sorted(current.values(), key=lambda m: m.label))
-            kept, born = index_of, births.index_of
+            kept = index_of
             index_of = {m.label: born[m.label] if m.label in born else kept[m.label] for m in sets}
-        yield Stage(births.gamma, sets, index_of, births.absorbed)
+        yield Stage(gamma, sets, index_of, absorbed)
+    if k < len(births):  # the walk stopped at a birth that no later grid value matches
+        gamma = births[k].gamma
+        where = "out of grid order" if gamma in F.grid.values else "off the grid"
+        raise RuntimeError(f"lineage at gamma={gamma} has a birth {where}")
 
 
 class _Part:
@@ -193,20 +210,14 @@ class _Sweep:
             parts += self.born.pop(r, (light.label,))
         self.born[keep] = parts
 
-    def record(self, gamma: float) -> Births:
-        """The sets born since the last record, with their lineage and index."""
+    def record(self, gamma: float) -> list[Birth]:
+        """The sets born since the last record, each with its lineage and index."""
         born, self.born = self.born, {}
-        absorbed: dict[int, tuple[int, ...]] = {}
-        index_of: dict[int, TopologicalIndex] = {}
-        for r, parts in born.items():
-            into = self.part[r]
-            absorbed[into.label] = tuple(sorted(parts))
-            index_of[into.label] = into.index()
-        return Births(gamma, absorbed, index_of)
+        return [Birth(gamma, self.part[r].label, tuple(sorted(p)), self.part[r].index()) for r, p in born.items()]
 
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
-    """The Morse sets at P's first threshold and, at every threshold, the sets born there."""
+    """The Morse sets at P's first threshold and the log of every set born above it."""
     grid = threshold_grid(P)
     X = build_complex(P)
     rows = P.entries.tolist()
@@ -217,36 +228,15 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     )
     base = morse_sets(X, P, grid[0])
     sweep = _Sweep(X, base)
-    births = [Births(grid[0], {}, {m.label: sweep.part[m.label].index() for m in base})]
+    births = [Birth(grid[0], m.label, (), sweep.part[m.label].index()) for m in base]
     k = 0
     for gamma in grid.values[1:]:
         while k < len(entries) and entries[k][0] <= gamma:
             _, v, e = entries[k]
             sweep.join(v, e)
             k += 1
-        births.append(sweep.record(gamma))
+        births += sweep.record(gamma)
     return FiltrationResult(grid, X, base, tuple(births))
-
-
-def containment_map(prev: Stage, nxt: Stage) -> dict[int, int]:
-    """Label of the next-stage Morse set containing each previous Morse set.
-
-    Totality is a theorem of the construction; a previous set straddling two
-    next sets signals an implementation bug and raises.
-    """
-    owner: dict[int, int] = {}
-    for m in nxt.morse_sets:
-        for c in m.cells:
-            owner[c] = m.label
-    result: dict[int, int] = {}
-    for m in prev.morse_sets:
-        targets = {owner[c] for c in m.cells}
-        if len(targets) != 1:
-            raise RuntimeError(
-                f"Morse set {m.label} at gamma={prev.gamma} straddles {len(targets)} sets at gamma={nxt.gamma}"
-            )
-        result[m.label] = targets.pop()
-    return result
 
 
 class _Track(NamedTuple):
@@ -295,10 +285,6 @@ class PersistencePoint(tuple):
         return f"PersistencePoint(birth={self.birth}, death={self.death}, index={tuple(self.index)})"
 
 
-def _canonical(points) -> tuple[PersistencePoint, ...]:
-    return tuple(sorted(points, key=lambda p: (p.index, p.birth, p.death)))
-
-
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of decorated points in canonical order (index, birth, death)."""
@@ -307,44 +293,38 @@ class PersistenceDiagram:
     grid: ThresholdGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _canonical(self.points))
+        object.__setattr__(self, "points", tuple(sorted(self.points, key=lambda p: (p.index, p.birth, p.death))))
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_classes(self) -> list[TopologicalIndex]:
-        return sorted({p.index for p in self.points})
 
 
 def build_diagram(F: FiltrationResult) -> PersistenceDiagram:
     """Extract the decorated diagram from a filtration by track bookkeeping.
 
-    Every Morse set carries one live track; base-set tracks are born at 0.
-    A set born at a stage gathers the tracks of the sets it absorbed (its
-    lineage). Tracks whose index differs from the new set's die first; among
-    the rest the minimal (birth, birth label) survives and the others die;
-    if none is left, a new track is born. Unchanged sets keep their track.
-    Only the births records are read, never the replayed stages.
+    Every Morse set carries one live track. A birth gathers the tracks of
+    its parts. Tracks whose index differs from the new set's die first;
+    among the rest the minimal (birth, birth label) survives and the others
+    die; if none is left, a new track is born. A base set has no parts, so
+    its track is born at 0. Unchanged sets keep their track.
+    Only the birth log is read, never the replayed stages.
     """
     points: list[PersistencePoint] = []
-    first, *rest = F.births
-    track_of = {label: _Track(0.0, label, k) for label, k in first.index_of.items()}
-    for births in rest:
-        for label, parts in births.absorbed.items():
-            k_new = births.index_of[label]
-            matching = []
-            for t in map(track_of.pop, parts):
-                if t.index != k_new:  # index-change death, before any merge
-                    points.append(PersistencePoint(t.birth, births.gamma, t.index))
-                else:
-                    matching.append(t)
-            if matching:
-                matching.sort(key=lambda t: (t.birth, t.birth_label))
-                for t in matching[1:]:  # merge deaths
-                    points.append(PersistencePoint(t.birth, births.gamma, t.index))
-                track_of[label] = matching[0]
+    track_of: dict[int, _Track] = {}
+    for b in F.births:
+        matching = []
+        for t in map(track_of.pop, b.parts):
+            if t.index != b.index:  # index-change death, before any merge
+                points.append(PersistencePoint(t.birth, b.gamma, t.index))
             else:
-                track_of[label] = _Track(births.gamma, label, k_new)
+                matching.append(t)
+        if matching:
+            matching.sort(key=lambda t: (t.birth, t.birth_label))
+            for t in matching[1:]:  # merge deaths
+                points.append(PersistencePoint(t.birth, b.gamma, t.index))
+            track_of[b.label] = matching[0]
+        else:
+            track_of[b.label] = _Track(b.gamma, b.label, b.index)
     for t in track_of.values():
         points.append(PersistencePoint(t.birth, math.inf, t.index))
     return PersistenceDiagram(tuple(points), F.grid)
@@ -375,6 +355,11 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("diagram JSON is nested too deeply") from None
+    return _diagram_from_obj(obj)
+
+
+def _diagram_from_obj(obj) -> PersistenceDiagram:
+    """The diagram in a decoded diagram JSON value."""
     if not isinstance(obj, dict):
         raise ValueError(f"diagram must be an object, got {_clip(obj)}")
     grid, raw_points = obj.get("grid"), obj.get("points")

@@ -62,7 +62,7 @@ def render_diagram_svg(D: PersistenceDiagram) -> str:
         return margin + plot - (v / limit) * plot
 
     rail_y = margin - rail_gap / 2.0
-    classes = D.index_classes()
+    classes = sorted({p.index for p in D.points})
     style = {
         k: (_SHAPES[i % len(_SHAPES)], _PALETTE[i % len(_PALETTE)])
         for i, k in enumerate(classes)
@@ -95,18 +95,13 @@ def render_diagram_svg(D: PersistenceDiagram) -> str:
             f'<line x1="{margin - 5}" y1="{sy(v):.2f}" x2="{margin}" y2="{sy(v):.2f}" stroke="black"/>'
             f'<text x="{margin - 8:.2f}" y="{sy(v) + 4:.2f}" text-anchor="end">{v:g}</text>'
         )
-    multiplicity = Counter(D.points)
-    drawn = set()
-    for p in D.points:
-        if p in drawn:
-            continue
-        drawn.add(p)
+    for p, count in Counter(D.points).items():  # first occurrences, in diagram order
         shape, color = style[p.index]
         x = sx(p.birth)
         y = rail_y if math.isinf(p.death) else sy(p.death)
         out.append(_marker(shape, x, y, color))
-        if multiplicity[p] > 1:
-            out.append(f'<text x="{x + 7:.2f}" y="{y - 7:.2f}">&#215;{multiplicity[p]}</text>')
+        if count > 1:
+            out.append(f'<text x="{x + 7:.2f}" y="{y - 7:.2f}">&#215;{count}</text>')
     # legend
     for i, k in enumerate(classes):
         shape, color = style[k]

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 from markov_morse.cells import StateComplex, build_complex
 from markov_morse.dynamics import MorseSet
+from markov_morse.harness import containment_map
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, TransitionMatrix, threshold_grid
 from markov_morse.mvf import build_mvf
-from markov_morse.persistence import PersistenceDiagram, PersistencePoint, containment_map
+from markov_morse.persistence import PersistenceDiagram, PersistencePoint
 
 from cells_oracle import Field
 from components_oracle import index_by_components

@@ -24,8 +24,8 @@ from markov_morse import (
     threshold_grid,
     topological_index,
 )
+from markov_morse.harness import containment_map
 from markov_morse.markov import TransitionMatrix, matrix_distance
-from markov_morse.persistence import containment_map
 
 from cells_oracle import closure, is_coarsening, mouth
 from components_oracle import _components, conley_index_dims, homology_dims, index_by_components, is_critical

@@ -359,6 +359,30 @@ class TestExitCodes:
         assert out == ""
         assert "index must be a pair of ints" in err
 
+    def test_bare_array_json_is_refused_alike(self, capsys, tmp_path):
+        # a .json file is JSON to every command: a bare array is not a matrix
+        # object, and bottleneck says so as thresholds does, not as a CSV
+        bare = tmp_path / "arr.json"
+        bare.write_text("[[0.5, 0.5], [0.5, 0.5]]")
+        results = [run(capsys, "thresholds", str(bare)), run(capsys, "bottleneck", str(bare), str(bare))]
+        assert [(code, out) for code, out, _ in results] == [(2, ""), (2, "")]
+        assert results[0][2] == results[1][2] == 'error: expected an object with a "matrix" key\n'
+
+    def test_each_input_file_is_decoded_once(self, capsys, monkeypatch, tmp_path, matrix_file, matrix_json_file):
+        diagram = tmp_path / "d.json"
+        assert main(["diagram", matrix_file]) == 0
+        diagram.write_text(capsys.readouterr().out)
+        loads, calls = json.loads, []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        code, _, _ = run(capsys, "bottleneck", str(diagram), matrix_json_file)
+        assert code == 0
+        assert len(calls) == 2
+
     @pytest.mark.parametrize(
         "command, wrap",
         [

@@ -22,10 +22,10 @@ from markov_morse import (
     run_filtration,
 )
 from markov_morse import homology, persistence
-from markov_morse.dynamics import morse_sets
+from markov_morse.dynamics import MorseSet, morse_sets
+from markov_morse.harness import containment_map
 from markov_morse.homology import topological_index
 from markov_morse.mvf import build_mvf
-from markov_morse.persistence import containment_map
 
 from cells_oracle import closure, is_coarsening
 from components_oracle import _components, index_by_components
@@ -163,21 +163,53 @@ def test_property_morse_set_closures_are_connected(weights):
         assert topological_index(X, m) == index_by_components(X, m.cells) == gf2
 
 
+def fold(F, gammas):
+    """The Morse sets and their indices at each gamma, folded from F.base and the birth log."""
+    base = {m.label: m.cells for m in F.base}
+    cells, index, k = {}, {}, 0
+    for gamma in gammas:
+        while k < len(F.births) and F.births[k].gamma <= gamma:
+            b = F.births[k]
+            cells[b.label] = frozenset().union(*(cells.pop(p) for p in b.parts)) if b.parts else base[b.label]
+            for p in b.parts:
+                del index[p]
+            index[b.label] = b.index
+            k += 1
+        yield tuple(MorseSet(label, cells[label]) for label in sorted(cells)), dict(index)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
+def test_birth_log_folds_to_the_static_route_at_n100(density):
+    # the stage checks above stop at n=24; at 16 evenly spaced grid values of
+    # one n=100 chain, the sets and indices the log folds to are the static
+    # route's
+    P = random_chain(RandomChainSpec(100, density, seed=100))
+    F = run_filtration(P)
+    X, grid = F.complex, F.grid.values
+    gammas = [grid[round(j * (len(grid) - 1) / 15)] for j in range(16)]
+    for gamma, (sets, index_of) in zip(gammas, fold(F, gammas)):
+        assert sets == morse_sets(X, P, gamma), f"gamma={gamma}"
+        assert index_of == {m.label: topological_index(X, m) for m in sets}, f"gamma={gamma}"
+
+
 class TestIncremental:
     def test_index_computed_only_for_born_sets(self):
-        # the births records index exactly the born sets (every base set at
-        # the first grid value), and each counted index is the one
-        # components give on the replayed set
+        # the log holds one birth per set born, in grid order: every base set
+        # at the first grid value with no parts, then each set the oracle's
+        # consecutive stages show merging, with its parts; each counted index
+        # is the one components give on the oracle's set
         for seed in range(4):
-            F = run_filtration(random_chain(RandomChainSpec(9, 0.7, seed)))
+            P = random_chain(RandomChainSpec(9, 0.7, seed))
+            F, G = run_filtration(P), oracle.run_filtration(P)
             X = F.complex
-            assert len(F.births) == len(F.stages)
-            for k, (births, stage) in enumerate(zip(F.births, F.stages)):
-                born = stage.absorbed if k else {m.label: (m.label,) for m in F.base}
-                assert births.index_of.keys() == born.keys()
-                cells = {m.label: m.cells for m in stage.morse_sets}
-                for label, index in births.index_of.items():
-                    assert index == index_by_components(X, cells[label])
+            born = [(G.grid[0], m.label, ()) for m in G.stages[0].morse_sets]
+            for prev, nxt in zip(G.stages, G.stages[1:]):
+                born += [(nxt.gamma, t, parts) for t, parts in sorted(expected_lineage(prev, nxt).items())]
+            assert sorted((b.gamma, b.label, b.parts) for b in F.births) == born
+            assert [b.gamma for b in F.births] == sorted(b.gamma for b in F.births)
+            cells = {(stage.gamma, m.label): m.cells for stage in G.stages for m in stage.morse_sets}
+            for b in F.births:
+                assert b.index == index_by_components(X, cells[b.gamma, b.label])
 
     def test_timed_path_calls_neither_topological_index_nor_the_replay(self, monkeypatch):
         def refuse(*args):

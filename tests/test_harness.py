@@ -100,6 +100,29 @@ class TestStabilityTrials:
         assert report.violations == 0
         assert all(rec.n == 3 for rec in report.records)
 
+    @pytest.mark.parametrize("n_entries", [1, 2])
+    def test_fixed_matrix_diagram_is_built_once(self, monkeypatch, worked_matrix, n_entries):
+        # one filtration of the fixed matrix and one per trial; every d_B is
+        # the one both diagrams built afresh give
+        import markov_morse.harness as harness
+
+        calls = []
+
+        def counting(P):
+            calls.append(P)
+            return run_filtration(P)
+
+        monkeypatch.setattr(harness, "run_filtration", counting)
+        report = stability_trials(worked_matrix, 6, n_entries=n_entries, seed=7)
+        monkeypatch.undo()
+        assert len(calls) == 6 + 1
+        D_P = build_diagram(run_filtration(worked_matrix))
+        for rec in report.records:
+            Q = worked_matrix
+            for (row, col), delta in zip(rec.targets, rec.deltas):
+                Q = perturb(Q, PerturbationSpec(row, col, delta))
+            assert rec.d_b == bottleneck_distance(D_P, build_diagram(run_filtration(Q)))
+
     def test_deterministic_reports(self):
         spec = RandomChainSpec(n=4, density=0.8, seed=99)
         assert stability_trials(spec, 8) == stability_trials(spec, 8)
@@ -195,12 +218,15 @@ class TestPropertyTrials:
         with pytest.raises(ValueError):
             property_trials(RandomChainSpec(n=3, seed=0), 0)
 
+    @staticmethod
+    def _first_merge(births) -> int:
+        """Position in the log of the first birth with parts."""
+        return next(k for k, b in enumerate(births) if b.parts)
+
     def test_wrong_lineage_is_reported(self, monkeypatch):
         # a merge that forgets one absorbed set must not pass; the replayed
         # stages then keep the forgotten set apart, which the static route
         # reports from the tampered stage on
-        from dataclasses import replace
-
         import markov_morse.harness as harness
 
         forgot = []
@@ -208,24 +234,21 @@ class TestPropertyTrials:
         def forgetful(P):
             F = run_filtration(P)
             births = list(F.births)
-            k = next(k for k, b in enumerate(births) if b.absorbed)
-            label, parts = next(iter(births[k].absorbed.items()))
-            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: parts[:-1]})
-            forgot.append((k, births[k].gamma))
+            k = self._first_merge(births)
+            births[k] = births[k]._replace(parts=births[k].parts[:-1])
+            forgot.append((F.grid.values.index(births[k].gamma), births[k].gamma))
             return replace(F, births=tuple(births))
 
         monkeypatch.setattr(harness, "run_filtration", forgetful)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
-        k, gamma = forgot[0]
+        stage, gamma = forgot[0]
         assert report.failures[0].endswith(f"differ from the static route at gamma={gamma}")
-        assert report.checks["static_route"] == k
+        assert report.checks["static_route"] == stage
 
     def test_split_multivector_is_reported(self, monkeypatch):
         # a merge that leaves out a part sharing one of build_mvf's
         # multivectors with the rest cuts that multivector in two; the
         # replayed sets must not pass as the static route's
-        from dataclasses import replace
-
         import markov_morse.harness as harness
         from markov_morse import build_mvf
 
@@ -234,51 +257,47 @@ class TestPropertyTrials:
         def splitting(P):
             F = run_filtration(P)
             births = list(F.births)
-            for k in reversed(range(1, len(births))):
-                cells = {m.label: m.cells for m in F.stages[k - 1].morse_sets}
-                fld = build_mvf(F.complex, P, births[k].gamma)
-                for label, parts in births[k].absorbed.items():
-                    for p in parts:
-                        if p != label and any(v & cells[p] and v - cells[p] for v in fld):
-                            kept = tuple(q for q in parts if q != p)
-                            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: kept})
-                            cut.append((k, births[k].gamma))
-                            return replace(F, births=tuple(births))
+            for k in reversed(range(self._first_merge(births), len(births))):
+                b = births[k]
+                stage = F.grid.values.index(b.gamma)
+                cells = {m.label: m.cells for m in F.stages[stage - 1].morse_sets}
+                fld = build_mvf(F.complex, P, b.gamma)
+                for p in b.parts:
+                    if p != b.label and any(v & cells[p] and v - cells[p] for v in fld):
+                        births[k] = b._replace(parts=tuple(q for q in b.parts if q != p))
+                        cut.append((stage, b.gamma))
+                        return replace(F, births=tuple(births))
             raise AssertionError("no merge to split")
 
         monkeypatch.setattr(harness, "run_filtration", splitting)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
-        k, gamma = cut[0]
+        stage, gamma = cut[0]
         assert report.failures[0].endswith(f"differ from the static route at gamma={gamma}")
         # every stage before the cut passes
-        assert report.checks["static_route"] == k
+        assert report.checks["static_route"] == stage
 
     def test_stale_index_is_reported(self, monkeypatch):
         # a born set that keeps the index of a set it absorbed must not pass;
         # the replay carries the stale index until the set is absorbed
-        from dataclasses import replace
-
         import markov_morse.harness as harness
 
         stale = []
 
         def stale_index(P):
             F = run_filtration(P)
-            births = list(F.births)
-            k, label, old = next(
-                (k, label, F.stages[k - 1].index_of[p])
-                for k in range(1, len(births))
-                for label, parts in births[k].absorbed.items()
-                for p in parts
-                if F.stages[k - 1].index_of[p] != births[k].index_of[label]
-            )
-            births[k] = births[k]._replace(index_of={**births[k].index_of, label: old})
-            # the stale entry lasts until a later stage absorbs the set
-            end = next(
-                (j for j in range(k + 1, len(births)) if any(label in q for q in births[j].absorbed.values())),
-                len(births),
-            )
-            stale.append((births[k].gamma, end - k))
+            births, grid = list(F.births), F.grid.values
+            index_of = {}  # label -> index of the live set's latest birth
+            for k, b in enumerate(births):
+                old = next((index_of[p] for p in b.parts if index_of[p] != b.index), None)
+                if old is not None:
+                    break
+                index_of[b.label] = b.index
+            else:
+                raise AssertionError("no birth changes an index")
+            births[k] = b._replace(index=old)
+            # the stale entry lasts until a later birth absorbs the set
+            end = next((grid.index(c.gamma) for c in births[k + 1 :] if b.label in c.parts), len(grid))
+            stale.append((b.gamma, end - grid.index(b.gamma)))
             return replace(F, births=tuple(births))
 
         monkeypatch.setattr(harness, "run_filtration", stale_index)
@@ -288,9 +307,9 @@ class TestPropertyTrials:
         assert len(failures) == lasting and failures[0].endswith(f"at gamma={gamma}")
 
     @staticmethod
-    def _assert_reported_at(monkeypatch, capsys, tamper):
-        # a lineage the replay cannot follow is one failure at the tampered
-        # gamma, not a crash, and the CLI exits 3 for it
+    def _assert_reported_at(monkeypatch, capsys, tamper, fault):
+        # a lineage the replay cannot follow is one failure naming the fault
+        # at the tampered gamma, not a crash, and the CLI exits 3 for it
         import markov_morse.harness as harness
         from markov_morse.cli import main
 
@@ -306,46 +325,70 @@ class TestPropertyTrials:
         monkeypatch.setattr(harness, "run_filtration", tampering)
         report = property_trials(RandomChainSpec(n=5, seed=2), 1)
         assert report.violations == 1
-        assert f"lineage at gamma={tampered[0]} " in report.failures[0]
+        assert f"lineage at gamma={tampered[0]} {fault}" in report.failures[0]
         assert report.checks == {"static_route": 0, "containment": 0, "diagram_shape": 0}
         assert main(["properties", "--random", "5", "--trials", "1", "--seed", "2"]) == 3
-        assert f"lineage at gamma={tampered[-1]} " in capsys.readouterr().out
+        assert f"lineage at gamma={tampered[-1]} {fault}" in capsys.readouterr().out
 
     def test_absorbing_a_set_not_live_is_reported(self, monkeypatch, capsys):
         def absorb_dead(F, births):
-            # a later merge lists a set that an earlier merge already absorbed
-            k = next(k for k, b in enumerate(births) if b.absorbed)
-            label, parts = next(iter(births[k].absorbed.items()))
-            dead = next(p for p in parts if p != label)
-            j = next(j for j in range(k + 1, len(births)) if births[j].absorbed)
-            born, parts = next(iter(births[j].absorbed.items()))
-            births[j] = births[j]._replace(absorbed={**births[j].absorbed, born: (*parts, dead)})
+            # a merge at a later grid value lists a set the first merge absorbed
+            k = self._first_merge(births)
+            dead = next(p for p in births[k].parts if p != births[k].label)
+            j = next(j for j in range(k + 1, len(births)) if births[j].gamma > births[k].gamma)
+            births[j] = births[j]._replace(parts=(*births[j].parts, dead))
             return j
 
-        self._assert_reported_at(monkeypatch, capsys, absorb_dead)
+        self._assert_reported_at(monkeypatch, capsys, absorb_dead, "absorbs sets")
 
     def test_set_absorbed_twice_is_reported(self, monkeypatch, capsys):
         def absorb_twice(F, births):
             # a merge lists one of its absorbed sets a second time
-            k = next(k for k, b in enumerate(births) if b.absorbed)
-            label, parts = next(iter(births[k].absorbed.items()))
-            births[k] = births[k]._replace(absorbed={**births[k].absorbed, label: (*parts, parts[0])})
+            k = self._first_merge(births)
+            births[k] = births[k]._replace(parts=(*births[k].parts, births[k].parts[0]))
             return k
 
-        self._assert_reported_at(monkeypatch, capsys, absorb_twice)
+        self._assert_reported_at(monkeypatch, capsys, absorb_twice, "lists an absorbed set twice")
 
     def test_born_set_taking_a_live_label_is_reported(self, monkeypatch, capsys):
         def steal_label(F, births):
             # a born set is filed under the label of a set that stays live
-            k = next(k for k, b in enumerate(births) if b.absorbed)
-            label, parts = next(iter(births[k].absorbed.items()))
-            live = next(m.label for m in F.stages[k - 1].morse_sets if m.label not in parts)
-            absorbed = {(live if t == label else t): p for t, p in births[k].absorbed.items()}
-            index_of = {(live if t == label else t): i for t, i in births[k].index_of.items()}
-            births[k] = births[k]._replace(absorbed=absorbed, index_of=index_of)
+            k = self._first_merge(births)
+            before = F.stages[F.grid.values.index(births[k].gamma) - 1]
+            live = next(m.label for m in before.morse_sets if m.label not in births[k].parts)
+            births[k] = births[k]._replace(label=live)
             return k
 
-        self._assert_reported_at(monkeypatch, capsys, steal_label)
+        self._assert_reported_at(monkeypatch, capsys, steal_label, "labels a born set")
+
+    def test_birth_off_the_grid_is_reported(self, monkeypatch, capsys):
+        def off_grid(F, births):
+            # the first merge is moved halfway back to the grid value before it
+            k = self._first_merge(births)
+            j = F.grid.values.index(births[k].gamma)
+            births[k] = births[k]._replace(gamma=(F.grid[j - 1] + F.grid[j]) / 2)
+            return k
+
+        self._assert_reported_at(monkeypatch, capsys, off_grid, "has a birth off the grid")
+
+    def test_birth_out_of_grid_order_is_reported(self, monkeypatch, capsys):
+        def out_of_order(F, births):
+            # the last birth is moved back to the grid value of the first merge
+            k = self._first_merge(births)
+            assert births[-2].gamma > births[k].gamma
+            births[-1] = births[-1]._replace(gamma=births[k].gamma)
+            return len(births) - 1
+
+        self._assert_reported_at(monkeypatch, capsys, out_of_order, "has a birth out of grid order")
+
+    def test_birth_with_no_parts_past_the_base_is_reported(self, monkeypatch, capsys):
+        def no_parts(F, births):
+            # the first merge loses all its parts
+            k = self._first_merge(births)
+            births[k] = births[k]._replace(parts=())
+            return k
+
+        self._assert_reported_at(monkeypatch, capsys, no_parts, "has a birth with no parts")
 
     def test_negative_seed_rejected(self):
         # the spec carries the seed, so it is refused before any trial runs

@@ -17,9 +17,10 @@ from markov_morse import (
     run_filtration,
     threshold_grid,
 )
+from markov_morse.harness import containment_map
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid
-from markov_morse.persistence import PersistencePoint, containment_map
+from markov_morse.persistence import PersistencePoint
 
 from conftest import E, V
 
