@@ -6,24 +6,45 @@ point inherits its class. Infinite points pair off sorted by birth and any
 count mismatch makes the class, and the whole distance, infinite. The
 overall distance is the maximum over classes.
 
-Per class, the finite points A and B are solved in three steps:
+Per class, the finite points A and B cost what the class needs:
 
-- Candidate radii. The l-infinity matrix D between A and B is computed once
-  with numpy, with both sides' half-persistences (the cost of reaching the
-  diagonal). The optimum is the cost of some edge, so it is one of D's
-  entries, a half-persistence or 0. No radius below the largest cheapest
-  way out of a single point is feasible, and the search starts there.
+- At most one point a side: a closed form in plain Python. With d the
+  l-infinity distance and h_a, h_b the half-persistences (the cost of
+  reaching the diagonal), the distance is min(d, max(h_a, h_b)), by the
+  pair (a, b) when d <= max(h_a, h_b) and by both points going to the
+  diagonal otherwise. A lone point costs its own h.
+- Otherwise the l-infinity matrix D is read in windows and never held
+  whole. Both sides are sorted by death. An entry D_ij <= r needs
+  |death_i - death_j| <= r, so a block of rows meets such entries only in
+  one window of the other side's deaths. `_Class.edges(r)` reads D in blocks
+  of _BLOCK rows within those windows and keeps the entries at most r, so
+  memory is linear in points plus those entries.
+- The radius. The optimum is the smallest feasible candidate radius: an
+  entry of D, a half-persistence or 0. No radius below the largest cheapest
+  way out of a single point (its nearest partner or the diagonal) is
+  feasible. Each point's cost to its nearest partners in death bounds its
+  way out, so one pass of row and column minima over the windows at the
+  largest such bound gives that lower bound exactly. An exponential search
+  from it, capped by the largest half-persistence (which is always
+  feasible), finds the highest infeasible and the lowest feasible radius.
+  Only the candidates between the two are sorted, and a binary search over
+  them finds the smallest feasible one.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
   exists iff some matching in the graph {D <= eps} covers every far point
   (half-persistence > eps) of both sides, since the free slot-to-slot pairs
   absorb the rest. By Mendelsohn-Dulmage that splits into two one-sided
-  checks: A's far points match into B, and B's far points match into A. A
-  binary search over the sorted radii finds the smallest feasible one.
-- The reported matching. At that radius the graph with diagonal slots is
-  built once, rows in the order A's points then B's slots, and one
-  Hopcroft-Karp run on it fixes which pairs are reported and in what order.
-  Slots are shared sequences, so no slot row is copied.
+  checks: A's far points match into B, and B's far points match into A.
+  Each check starts from the last matching it found, less the pairs that
+  cost more than the radius: whatever radius it was found at, that is a
+  matching of this graph. The rows are read out of the edge arrays only
+  when the search visits them.
+- The reported matching, in `bottleneck_matching` only. At the optimum the
+  graph with diagonal slots is built once, rows in the order A's points then
+  B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
+  fixes which pairs are reported and in what order. Slots are shared
+  sequences, so no slot row is copied. `bottleneck_distance` stops at the
+  radius.
 
 References: Efrat, Itai & Katz, Algorithmica 31 (2001); Kerber, Morozov &
 Nigmetov, "Geometry Helps to Compare Persistence Diagrams", JEA 22 (2017).
@@ -33,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import chain
 from typing import NamedTuple
@@ -42,6 +63,9 @@ import numpy as np
 
 from .homology import TopologicalIndex
 from .persistence import PersistenceDiagram, PersistencePoint
+
+_BLOCK = 256  # rows of D read at a time
+_GROWTH = 2**0.5  # step of the exponential radius search
 
 
 class MatchPair(NamedTuple):
@@ -101,28 +125,45 @@ class _Candidates:
                 return
 
 
-def _hopcroft_karp(adj: list[tuple[Sequence[int], ...]], n_right: int) -> list[int]:
+def _hopcroft_karp(
+    adj: list[tuple[Sequence[int], ...]],
+    n_right: int,
+    match_left: list[int] | None = None,
+    shared: tuple[Sequence[int], ...] = (),
+    all_layers: bool = True,
+) -> list[int]:
     """Maximum matching; adj[u] holds left node u's right neighbours in scan order.
 
-    A row is a tuple of sequences, and rows may share a sequence object.
-    Returns match_left (right partner of each left node, -1 if unmatched).
+    A row is a tuple of sequences, and rows may share the sequence objects
+    listed in shared. The search starts from match_left (right partner of
+    each left node, -1 if unmatched), empty by default, and returns the
+    final match_left.
+
     The result is the textbook traversal's: breadth-first layers from the
     free left nodes, then from each free left node in turn a depth-first
     search that takes the first free neighbour or enters the first neighbour
     whose partner lies one layer deeper, and marks a node that runs out of
-    neighbours dead for the phase. Two things only skip work that has no
-    effect: a breadth-first pass reads each sequence once (after one scan
-    every node in it is free or has a layered partner), and the depth-first
-    search reads a shared sequence through its `_Candidates`.
+    neighbours dead for the phase. Three things only skip work that has no
+    effect: when every left node is free, the first breadth-first pass is
+    not run (it would leave every layer at 0 and find a free neighbour iff
+    some row is non-empty); a breadth-first pass reads each sequence once
+    (after one scan every node in it is free or has a layered partner); and
+    the depth-first search reads a shared sequence through its `_Candidates`.
+    With all_layers off, a breadth-first pass stops after the first layer
+    that reaches a free right node and saves the deeper ones: the matching
+    is as large, but which one it is may differ.
     """
     inf = math.inf
     n_left = len(adj)
-    match_left = [-1] * n_left
+    match_left = [-1] * n_left if match_left is None else match_left
     match_right = [-1] * n_right
-    uses = Counter(id(seq) for row in adj for seq in row)
-    shared = {id(seq): seq for row in adj for seq in row if uses[id(seq)] > 1}
+    for u, v in enumerate(match_left):
+        if v != -1:
+            match_right[v] = u
+    all_free = all(v == -1 for v in match_left)
+    shared_by_id = {id(seq): seq for seq in shared}
     members: dict[int, list[tuple[int, int]]] = {}  # right node -> (shared sequence, position)
-    for key, seq in shared.items():
+    for key, seq in shared_by_id.items():
         for pos, v in enumerate(seq):
             members.setdefault(v, []).append((key, pos))
 
@@ -157,104 +198,308 @@ def _hopcroft_karp(adj: list[tuple[Sequence[int], ...]], n_right: int) -> list[i
                     path.pop()
 
     while True:
-        dist = [inf] * n_left
-        queue = deque()
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-        found = False
-        scanned: set[int] = set()
-        while queue:
-            u = queue.popleft()
-            for seq in adj[u]:
-                if id(seq) in scanned:
-                    continue
-                scanned.add(id(seq))
-                for v in seq:
-                    w = match_right[v]
-                    if w == -1:
-                        found = True
-                    elif dist[w] == inf:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
+        if all_free:
+            all_free = False
+            dist = [0] * n_left
+            found = any(len(seq) for row in adj for seq in row)
+        else:
+            dist = [inf] * n_left
+            queue = deque()
+            for u in range(n_left):
+                if match_left[u] == -1:
+                    dist[u] = 0
+                    queue.append(u)
+            found = False
+            last = inf  # the deepest layer to scan
+            scanned: set[int] = set()
+            while queue:
+                u = queue.popleft()
+                if dist[u] > last:
+                    break
+                for seq in adj[u]:
+                    if id(seq) in scanned:
+                        continue
+                    scanned.add(id(seq))
+                    for v in seq:
+                        w = match_right[v]
+                        if w == -1:
+                            found = True
+                            if not all_layers:
+                                last = dist[u]
+                        elif dist[w] == inf:
+                            dist[w] = dist[u] + 1
+                            queue.append(w)
         if not found:
             return match_left
-        candidates = {key: _Candidates(seq, match_right, dist) for key, seq in shared.items()}
+        candidates = {key: _Candidates(seq, match_right, dist) for key, seq in shared_by_id.items()}
         for u in range(n_left):
             if match_left[u] == -1:
                 augment(u)
 
 
-def _rows(mask: np.ndarray) -> list[list[int]]:
-    """Adjacency rows of a boolean matrix: the true columns of each row, ascending."""
-    cols = mask.nonzero()[1].tolist()
-    ends = mask.sum(axis=1).cumsum().tolist()
-    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[float, list[MatchPair]]:
+    """A class with at most one finite point a side."""
+    if not A and not B:
+        return 0.0, []
+    if not B or not A:
+        (p,) = A or B
+        h = (p.death - p.birth) / 2.0
+        return h, [MatchPair(p, None, h) if A else MatchPair(None, p, h)]
+    (a,), (b,) = A, B
+    d = max(abs(a.birth - b.birth), abs(a.death - b.death))
+    h_a, h_b = (a.death - a.birth) / 2.0, (b.death - b.birth) / 2.0
+    if d <= max(h_a, h_b):
+        return d, [MatchPair(a, b, d)]
+    return max(h_a, h_b), [MatchPair(a, None, h_a), MatchPair(None, b, h_b)]
 
 
-def _covers(mask: np.ndarray) -> bool:
-    """Whether some matching in the bipartite graph mask covers every row."""
-    return -1 not in _hopcroft_karp([(row,) for row in _rows(mask)], mask.shape[1])
+def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
+    """Per point of x, D to the points of y (sorted by death) nearest in death: at least its row minimum."""
+    if not len(death_y):
+        return np.full(len(death_x), math.inf)
+    k = np.searchsorted(death_y, death_x)
+    cost = []
+    for j in (np.maximum(k - 1, 0), np.minimum(k, len(death_y) - 1)):
+        cost.append(np.maximum(np.abs(birth_x - birth_y[j]), np.abs(death_x - death_y[j])))
+    return np.minimum(*cost)
 
 
-def _feasible(D: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, eps: float) -> bool:
-    """Whether each side's far points (half-persistence > eps) match into the other side."""
-    within = D <= eps
-    return _covers(within[half_a > eps]) and _covers(within.T[half_b > eps])
+class _Edges:
+    """The entries of D at most some radius: row (A's position by death), column (B's index) and value.
+
+    Rows ascend, and within a row the columns ascend.
+    """
+
+    def __init__(self, row: np.ndarray, col: np.ndarray, val: np.ndarray):
+        self.row, self.col, self.val = row, col, val
+        self._by_col: np.ndarray | None = None
+
+    def kept(self, side: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owner and other end of the kept entries, owners ascending: A's rows (side 0) or B's (1)."""
+        if side == 0:
+            return self.row[keep], self.col[keep]
+        if self._by_col is None:
+            self._by_col = np.argsort(self.col, kind="stable").astype(np.int32)
+        kept = self._by_col[keep[self._by_col]]
+        return self.col[kept], self.row[kept]
+
+
+class _Rows(Sequence):
+    """Adjacency rows (other[starts[u]:ends[u]],), each read out of the array when first asked for.
+
+    A probe's search from a warm start visits few rows.
+    """
+
+    def __init__(self, other: np.ndarray, starts: list[int], ends: list[int]):
+        self.other, self.starts, self.ends = other, starts, ends
+        self.read: dict[int, tuple[list[int]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, u: int) -> tuple[list[int]]:
+        row = self.read.get(u)
+        if row is None:
+            row = self.read[u] = (self.other[self.starts[u] : self.ends[u]].tolist(),)
+        return row
+
+
+class _Class:
+    """One class's finite points, with D read in windows.
+
+    A's points are held in death order, and B's in the order given; B's
+    order by death only locates the windows.
+    """
+
+    def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
+        # (birth, death) rows; a PersistencePoint is the tuple (birth, death, index)
+        a = np.array([p[:2] for p in A], dtype=float).reshape(len(A), 2)
+        b = np.array([p[:2] for p in B], dtype=float).reshape(len(B), 2)
+        self.order_a = np.argsort(a[:, 1], kind="stable")
+        self.order_b = np.argsort(b[:, 1], kind="stable")
+        self.birth_a, self.death_a = np.ascontiguousarray(a[self.order_a].T)
+        self.birth_b, self.death_b = np.ascontiguousarray(b.T)
+        self.sorted_birth_b, self.sorted_death_b = np.ascontiguousarray(b[self.order_b].T)
+        self.half_a = (self.death_a - self.birth_a) / 2.0
+        self.half_b = (self.death_b - self.birth_b) / 2.0
+        # far enough past every rounding in `death - r` that a window never
+        # drops an entry of D at most r
+        self.slack = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) * 2.0**-40
+        # per side, each point's partner in the last matching found and its cost
+        self.mate = (np.full(len(A), -1), np.full(len(B), -1))
+        self.cost = (np.full(len(A), math.inf), np.full(len(B), math.inf))
+
+    def edges(self, r: float, outs: tuple[np.ndarray, np.ndarray] | None = None) -> _Edges:
+        """Every entry of D at most r, read in row blocks within death windows.
+
+        Each block covers the columns within r in death of its rows. When
+        outs is given, each row's and column's entry in it is lowered to the
+        smallest entry of D read in that row or column, and no entry is kept.
+        """
+        reach = r * (1 + 2.0**-40) + self.slack
+        starts = np.arange(0, len(self.death_a), _BLOCK)
+        lasts = np.minimum(starts + _BLOCK, len(self.death_a)) - 1
+        lo = np.searchsorted(self.sorted_death_b, self.death_a[starts] - reach, "left")
+        hi = np.searchsorted(self.sorted_death_b, self.death_a[lasts] + reach, "right")
+        rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
+        for s, l, h in zip(starts.tolist(), lo.tolist(), hi.tolist()):
+            if l == h:
+                continue
+            block, window = slice(s, s + _BLOCK), np.sort(self.order_b[l:h])
+            D = np.abs(np.subtract.outer(self.birth_a[block], self.birth_b[window]))
+            np.maximum(D, np.abs(np.subtract.outer(self.death_a[block], self.death_b[window])), out=D)
+            if outs is not None:
+                np.minimum(outs[0][block], D.min(axis=1), out=outs[0][block])
+                outs[1][window] = np.minimum(outs[1][window], D.min(axis=0))
+                continue
+            within = D <= r
+            i, j = within.nonzero()
+            rows.append((i + s).astype(np.int32))
+            cols.append(window[j].astype(np.int32))
+            vals.append(D[within])
+        # one array at a time, so the pieces of only one are held twice
+        row = np.concatenate(rows)
+        del rows
+        col = np.concatenate(cols)
+        del cols
+        return _Edges(row, col, np.concatenate(vals))
+
+    def lower(self) -> float:
+        """The largest cheapest way out of a single point: its nearest partner or the diagonal.
+
+        Below it that point stays unmatched, and it is itself a candidate
+        radius. Each point's cost to its nearest partners in death bounds its
+        way out, so the windows at the largest such bound hold every one.
+        """
+        out_a = _nearest_death_cost(self.birth_a, self.death_a, self.sorted_birth_b, self.sorted_death_b)
+        out_b = _nearest_death_cost(self.birth_b, self.death_b, self.birth_a, self.death_a)
+        bound = max(
+            np.minimum(self.half_a, out_a).max(initial=0.0), np.minimum(self.half_b, out_b).max(initial=0.0)
+        )
+        out_a, out_b = self.half_a.copy(), self.half_b.copy()
+        self.edges(bound, (out_a, out_b))
+        return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
+
+    def _cover(self, side: int, E: _Edges, eps: float) -> float | None:
+        """Match the side's far points into the other side in {D <= eps}; side 0 is A, 1 is B.
+
+        The search starts from the side's last matching, less its pairs that
+        cost more than eps, which is a matching of this graph whatever radius
+        it was found at. Returns None when some far point stays unmatched,
+        and otherwise the radius of the matching found: its largest cost or
+        near point's half-persistence.
+        """
+        half, mate, cost = (self.half_a, self.half_b)[side], self.mate[side], self.cost[side]
+        far = half > eps
+        left = np.flatnonzero(far)
+        if not len(left):
+            return half.max(initial=0.0)
+        keep = E.val <= eps
+        keep &= far[(E.row, E.col)[side]]
+        owner, other = E.kept(side, keep)
+        counts = np.bincount(owner, minlength=len(half))
+        if not counts[left].all():
+            return None
+        ends = counts.cumsum()
+        adj = _Rows(other, (ends - counts)[left].tolist(), ends[left].tolist())
+        warm = np.where(cost[left] <= eps, mate[left], -1).tolist()
+        n_right = len((self.half_b, self.half_a)[side])
+        match = np.array(_hopcroft_karp(adj, n_right, warm, all_layers=False), dtype=np.intp)
+        n_far, left, match = len(left), left[match != -1], match[match != -1]
+        i, j = (left, match) if side == 0 else (match, left)
+        mate.fill(-1)
+        mate[left] = match
+        cost.fill(math.inf)
+        cost[left] = np.maximum(
+            np.abs(self.birth_a[i] - self.birth_b[j]), np.abs(self.death_a[i] - self.death_b[j])
+        )
+        if len(left) < n_far:
+            return None
+        return max(cost[left].max(), half[~far].max(initial=0.0))
+
+    def feasible(self, E: _Edges, eps: float) -> float | None:
+        """A radius at most eps at which both sides' far points match into the other side.
+
+        None when there is none: eps is infeasible.
+        """
+        x = self._cover(0, E, eps)
+        y = None if x is None else self._cover(1, E, eps)
+        return None if y is None else max(x, y)
+
+    def radius(self) -> tuple[float, _Edges]:
+        """The smallest feasible candidate radius, with the edges at most it."""
+        halves = np.concatenate((self.half_a, self.half_b))
+        cap = halves.max()
+        unit = halves[halves > 0].min(initial=cap)
+
+        def grow(r: float) -> float:
+            return min(r * _GROWTH, cap) if r > 0 else unit
+
+        lower = self.lower()
+        E = self.edges(lower)
+        if self.feasible(E, lower) is not None:
+            return float(lower), E
+        low = r = lower  # low: the highest radius known infeasible
+        while True:
+            r = grow(r)
+            del E  # freed before the larger set of edges is read
+            E = self.edges(r)
+            found = self.feasible(E, r)
+            if found is not None:
+                break
+            low = r
+        # the candidates in (low, r]; a feasible probe's own radius is one of them
+        radii = np.unique(np.concatenate((E.val[E.val > low], halves[(halves > low) & (halves <= r)])))
+        lo, hi = 0, int(np.searchsorted(radii, found))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            found = self.feasible(E, radii[mid])
+            if found is None:
+                lo = mid + 1
+            else:
+                hi = int(np.searchsorted(radii, found))
+        keep = E.val <= radii[lo]
+        return float(radii[lo]), _Edges(E.row[keep], E.col[keep], E.val[keep])
+
+    def matching(
+        self, A: list[PersistencePoint], B: list[PersistencePoint], eps: float, E: _Edges
+    ) -> list[MatchPair]:
+        """The reported pairs at the optimal radius eps, from the edges at most eps."""
+        na, nb = len(A), len(B)
+        ends = np.bincount(E.row, minlength=na).cumsum().tolist()
+        by_death = [E.col[start:end].tolist() for start, end in zip([0, *ends], ends)]
+        row_of = [by_death[k] for k in np.argsort(self.order_a).tolist()]
+        half_a = np.empty(na)
+        half_a[self.order_a] = self.half_a
+        half_a, half_b = half_a.tolist(), self.half_b.tolist()
+        # the graph with diagonal slots: A's points then one slot per B point on
+        # the left, B's points then one slot per A point on the right
+        slots = range(nb, nb + na)
+        near_b = [j for j, h in enumerate(half_b) if h <= eps]
+        adj = [(row, slots) if h <= eps else (row,) for row, h in zip(row_of, half_a)]
+        adj.extend([(near_b, slots)] * nb)
+        match_left = _hopcroft_karp(adj, na + nb, shared=(near_b, slots))
+        pairs = []
+        for u, v in enumerate(match_left):
+            if u < na and v < nb:
+                a, b = A[u], B[v]
+                pairs.append(MatchPair(a, b, max(abs(a.birth - b.birth), abs(a.death - b.death))))
+            elif u < na:
+                pairs.append(MatchPair(A[u], None, half_a[u]))
+            elif v < nb:
+                pairs.append(MatchPair(None, B[v], half_b[v]))
+        return pairs
 
 
 def _finite_class_distance(
-    A: list[PersistencePoint], B: list[PersistencePoint]
+    A: list[PersistencePoint], B: list[PersistencePoint], report: bool
 ) -> tuple[float, list[MatchPair]]:
-    if not A and not B:
-        return 0.0, []
-    na, nb = len(A), len(B)
-    birth_a, death_a = np.array([(p.birth, p.death) for p in A], dtype=float).reshape(na, 2).T
-    birth_b, death_b = np.array([(p.birth, p.death) for p in B], dtype=float).reshape(nb, 2).T
-    D = np.maximum(
-        np.abs(birth_a[:, None] - birth_b[None, :]), np.abs(death_a[:, None] - death_b[None, :])
-    )
-    half_a = (death_a - birth_a) / 2.0
-    half_b = (death_b - birth_b) / 2.0
-    # repeated radii cost at most one more search step and change no result
-    ordered = np.sort(np.concatenate((D.ravel(), half_a, half_b, [0.0])))
-    # below the cheapest way out of some point (its nearest partner or the
-    # diagonal) that point stays unmatched; this bound is itself a radius
-    lower = max(
-        np.minimum(half_a, D.min(axis=1, initial=math.inf)).max(initial=0.0),
-        np.minimum(half_b, D.min(axis=0, initial=math.inf)).max(initial=0.0),
-    )
-    lo, hi = int(np.searchsorted(ordered, lower)), len(ordered) - 1
-    if not _feasible(D, half_a, half_b, ordered[lo]):
-        lo += 1
-        while lo < hi:  # smallest feasible radius
-            mid = (lo + hi) // 2
-            if _feasible(D, half_a, half_b, ordered[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-    eps = float(ordered[lo])
-    # the graph with diagonal slots: A's points then one slot per B point on
-    # the left, B's points then one slot per A point on the right
-    slots = range(nb, nb + na)
-    near_b = np.flatnonzero(half_b <= eps).tolist()
-    adj = [
-        (row, slots) if near else (row,)
-        for row, near in zip(_rows(D <= eps), (half_a <= eps).tolist())
-    ]
-    adj.extend([(near_b, slots)] * nb)
-    match_left = _hopcroft_karp(adj, na + nb)
-    half_a, half_b = half_a.tolist(), half_b.tolist()
-    pairs = []
-    for u, v in enumerate(match_left):
-        if u < na and v < nb:
-            pairs.append(MatchPair(A[u], B[v], float(D[u, v])))
-        elif u < na:
-            pairs.append(MatchPair(A[u], None, half_a[u]))
-        elif v < nb:
-            pairs.append(MatchPair(None, B[v], half_b[v]))
-    return eps, pairs
+    """The class's distance, and its reported pairs when report is set."""
+    if len(A) <= 1 and len(B) <= 1:
+        return _closed_form(A, B)
+    c = _Class(A, B)
+    eps, E = c.radius()
+    return eps, c.matching(A, B, eps, E) if report else []
 
 
 def _infinite_class_distance(
@@ -277,8 +522,7 @@ def _by_class(D: PersistenceDiagram) -> dict[TopologicalIndex, tuple[list, list]
     return groups
 
 
-def bottleneck_matching(D1: PersistenceDiagram, D2: PersistenceDiagram) -> BottleneckResult:
-    """Distance plus one optimal matching realizing it."""
+def _classwise(D1: PersistenceDiagram, D2: PersistenceDiagram, report: bool) -> BottleneckResult:
     groups1, groups2 = _by_class(D1), _by_class(D2)
     distance = 0.0
     pairs: list[MatchPair] = []
@@ -288,13 +532,18 @@ def bottleneck_matching(D1: PersistenceDiagram, D2: PersistenceDiagram) -> Bottl
         d_inf, inf_pairs = _infinite_class_distance(a_inf, b_inf)
         if math.isinf(d_inf):
             return BottleneckResult(math.inf, ())
-        d_fin, fin_pairs = _finite_class_distance(a_fin, b_fin)
+        d_fin, fin_pairs = _finite_class_distance(a_fin, b_fin, report)
         distance = max(distance, d_fin, d_inf)
         pairs.extend(fin_pairs)
         pairs.extend(inf_pairs)
-    return BottleneckResult(distance, tuple(pairs))
+    return BottleneckResult(distance, tuple(pairs) if report else ())
+
+
+def bottleneck_matching(D1: PersistenceDiagram, D2: PersistenceDiagram) -> BottleneckResult:
+    """Distance plus one optimal matching realizing it."""
+    return _classwise(D1, D2, report=True)
 
 
 def bottleneck_distance(D1: PersistenceDiagram, D2: PersistenceDiagram) -> float:
     """max over index classes of the exact class-wise bottleneck distance."""
-    return bottleneck_matching(D1, D2).distance
+    return _classwise(D1, D2, report=False).distance

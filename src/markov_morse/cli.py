@@ -50,10 +50,10 @@ class _Parser(argparse.ArgumentParser):
 def _read(path: str, *, diagram: bool = False) -> TransitionMatrix | PersistenceDiagram:
     """The matrix in a file, or with `diagram` its diagram or the diagram the file holds; read and parsed once.
 
-    The file is JSON if its name ends in .json or its text starts with "{", and CSV otherwise.
+    The file is JSON if its name ends in .json or its text starts with "{" or "[", and CSV otherwise.
     """
     text = Path(path).read_text()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
+    if path.endswith(".json") or text.lstrip().startswith(("{", "[")):
         obj = _decode_json(text)
         if diagram and isinstance(obj, dict) and "points" in obj:
             return _diagram_from_obj(obj)

@@ -1,13 +1,15 @@
 """Test oracle: the class-wise bottleneck matching on the full dummy graph.
 
-The library computes every L-infinity distance once per class with numpy,
-searches only the distinct distances and half-persistences, tests each
-radius with two one-sided matchings without diagonal slots, and builds the
-graph with diagonal slots once, at the optimum. This module keeps the
-earlier route: every radius in the binary search rebuilds the whole graph
-with one diagonal slot per point from scalar distance calls and runs a
-recursive Hopcroft-Karp on it. `oracle_matching` must return exactly what
-`bottleneck_matching` returns, distance and ordered pairs alike.
+The library solves a class of one point a side in closed form, reads the
+L-infinity distances of a larger class in death windows, searches only the
+candidate radii between the highest infeasible and the lowest feasible
+radius it has probed, tests each radius with two one-sided matchings
+without diagonal slots, and builds the graph with diagonal slots once, at
+the optimum. This module keeps the earliest route: every radius in the
+binary search rebuilds the whole graph with one diagonal slot per point
+from scalar distance calls and runs a recursive Hopcroft-Karp on it.
+`oracle_matching` must return exactly what `bottleneck_matching` returns,
+distance and ordered pairs alike.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Exact bottleneck distance: hand-sized cases, the worked perturbation, metric axioms,
 equality with the frozen full-dummy-graph route, and scale."""
 
+import hashlib
 import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +259,8 @@ def assert_same_as_oracle(D1, D2):
     result, expected = bottleneck_matching(D1, D2), oracle_matching(D1, D2)
     assert result == expected
     assert repr(result) == repr(expected)  # same types and signs too, not just equal values
+    # the distance-only route stops at the same radius
+    assert repr(bottleneck_distance(D1, D2)) == repr(result.distance)
     return result
 
 
@@ -290,6 +294,16 @@ class TestAgainstFrozenOracle:
             assert_same_as_oracle(D1, D2)
             assert_same_as_oracle(D2, D1)
 
+    def test_chain_against_one_edit(self):
+        # a pipeline pair: 226 points a side in the (0, 1) class, d_B about 9.3e-4
+        P = random_chain(RandomChainSpec(30, 0.7, seed=1))
+        D1 = build_diagram(run_filtration(P))
+        D2 = build_diagram(run_filtration(perturb(P, PerturbationSpec(1, 5, 0.005))))
+        for D in (D1, D2):
+            assert sum(p.index == K01 and p.death < INF for p in D.points) == 226
+        assert assert_same_as_oracle(D1, D2).distance == pytest.approx(9.34e-4, rel=1e-3)
+        assert_same_as_oracle(D2, D1)
+
 
 def staircase_pair(n: int):
     """n + 1 long bars a side whose one optimal matching needs a path through all of them.
@@ -322,6 +336,28 @@ class TestScale:
         assert sorted(rights) == sorted(D2.points)
         assert max(m.cost for m in result.pairs) == result.distance
         assert bottleneck_distance(D2, D1) == result.distance
+
+    def test_memory_follows_the_edges_not_the_square(self):
+        # the optimum graph {D <= eps} of this pair is sparse; a dense D of
+        # 3000 x 3000 float64 entries alone would take 72 MB
+        D1, D2 = synthetic_pair(1, 3000, near=True)
+        tracemalloc.start()
+        try:
+            result = bottleneck_matching(D1, D2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.distance == pytest.approx(0.04395, abs=1e-5)
+        assert peak < 40 * 2**20
+
+    @pytest.mark.slow
+    def test_n100_chain_pair_digest(self):
+        # frozen from the dense route: a 2,462-point class, d_B about 7.81e-5
+        P = random_chain(RandomChainSpec(100, 0.7, seed=1))
+        D1 = build_diagram(run_filtration(P))
+        D2 = build_diagram(run_filtration(perturb(P, PerturbationSpec(1, 3, 0.005))))
+        digest = hashlib.sha256(repr(bottleneck_matching(D1, D2)).encode()).hexdigest()
+        assert digest == "1f930631a6256cf78de6be95c1c56b139ae2a2d1a952f296d1b9562046a447e3"
 
     def test_recursion_limit_is_irrelevant(self):
         n = 1000

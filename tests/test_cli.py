@@ -368,6 +368,14 @@ class TestExitCodes:
         assert [(code, out) for code, out, _ in results] == [(2, ""), (2, "")]
         assert results[0][2] == results[1][2] == 'error: expected an object with a "matrix" key\n'
 
+    def test_array_text_is_json_whatever_the_name(self, capsys, tmp_path):
+        # a leading "[" makes the file JSON, as a leading "{" does
+        bare = tmp_path / "arr.txt"
+        bare.write_text("[[0.5, 0.5], [0.5, 0.5]]")
+        code, out, err = run(capsys, "bottleneck", str(bare), str(bare))
+        assert (code, out) == (2, "")
+        assert err == 'error: expected an object with a "matrix" key\n'
+
     def test_each_input_file_is_decoded_once(self, capsys, monkeypatch, tmp_path, matrix_file, matrix_json_file):
         diagram = tmp_path / "d.json"
         assert main(["diagram", matrix_file]) == 0
@@ -415,7 +423,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, text",
         [
-            ("bottleneck", "[" * 100000 + "]" * 100000),
+            ("bottleneck", "x" * 50000),
             ("thresholds", '{"matrix": [["' + "x" * 50000 + '"]]}'),
             ("bottleneck", '{"grid": [0.0], "points": "' + "x" * 50000 + '"}'),
         ],
