@@ -14,8 +14,8 @@ the diagrams are built, before the call.
 
 The chain pairs are `random_chain(n, 0.7, seed=1)` against its first row-1
 edit that changes a finite point of the diagram: `PerturbationSpec(1, j,
-+-0.005)` for the smallest j, + tried before -. The dense pair is the
-`match` benchmark generator's independent pair of 2000 points a class,
++-0.005)` for the smallest j, + tried before -. The dense pair is two
+independently drawn diagrams of 2000 points in one class (`independent_pair`),
 where the optimum graph {D <= eps} is itself dense.
 """
 
@@ -54,13 +54,24 @@ def first_edit(mm, P):
     raise ValueError("no row-1 edit changes a finite point")
 
 
+def independent_pair(mm, points: int):
+    """Two independent one-class diagrams: births uniform in [0, 0.5], lengths 1e-3 plus exponential of mean 0.08."""
+    import numpy as np
+
+    rng = np.random.default_rng(SEED)
+
+    def draw():
+        births = rng.uniform(0.0, 0.5, size=points)
+        deaths = births + rng.exponential(0.08, size=points) + 1e-3
+        rows = [{"birth": b, "death": d, "index": [0, 1]} for b, d in zip(births.tolist(), deaths.tolist())]
+        return mm.diagram_from_json(json.dumps({"grid": [0.0, 1.0], "points": rows}))
+
+    return draw(), draw()
+
+
 def diagrams(mm, pair: str):
     if pair == "dense2000":
-        sys.path.insert(0, str(ROOT / "benchmark"))
-        from workloads import Match
-
-        a, b = Match().pair_json(SEED, 2000, near=False)
-        return mm.diagram_from_json(a), mm.diagram_from_json(b)
+        return independent_pair(mm, 2000)
     n = int(pair.removeprefix("n"))
     return first_edit(mm, mm.random_chain(mm.RandomChainSpec(n, DENSITY, SEED)))
 

@@ -37,14 +37,18 @@ Per class, the finite points A and B cost what the class needs:
   checks: A's far points match into B, and B's far points match into A.
   Each check starts from the last matching it found, less the pairs that
   cost more than the radius: whatever radius it was found at, that is a
-  matching of this graph. The rows are read out of the edge arrays only
-  when the search visits them.
+  matching of this graph. Its breadth-first passes stop at the first layer
+  that reaches a free node, which finds a matching as large in fewer steps.
+  The rows are read out of the edge arrays only when the search visits
+  them. A feasible check also returns the radius of the matching it found,
+  at most eps, which moves the search's upper end down to it.
 - The reported matching, in `bottleneck_matching` only. At the optimum the
   graph with diagonal slots is built once, rows in the order A's points then
   B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
-  fixes which pairs are reported and in what order. Slots are shared
-  sequences, so no slot row is copied. `bottleneck_distance` stops at the
-  radius.
+  fixes which pairs are reported and in what order; this run keeps every
+  breadth-first layer, as the oracle's does. Slots are shared sequences, so
+  no slot row is copied, and the rows share one int object per B point.
+  `bottleneck_distance` stops at the radius.
 
 References: Efrat, Itai & Katz, Algorithmica 31 (2001); Kerber, Morozov &
 Nigmetov, "Geometry Helps to Compare Persistence Diagrams", JEA 22 (2017).
@@ -448,8 +452,10 @@ class _Class:
             if found is not None:
                 break
             low = r
-        # the candidates in (low, r]; a feasible probe's own radius is one of them
-        radii = np.unique(np.concatenate((E.val[E.val > low], halves[(halves > low) & (halves <= r)])))
+        # the candidates in (low, r]; a feasible probe's own radius is one of them.
+        # Repeated radii cost at most one more search step; np.unique would
+        # also import numpy.ma, which then stays resident.
+        radii = np.sort(np.concatenate((E.val[E.val > low], halves[(halves > low) & (halves <= r)])))
         lo, hi = 0, int(np.searchsorted(radii, found))
         while lo < hi:
             mid = (lo + hi) // 2
@@ -467,7 +473,10 @@ class _Class:
         """The reported pairs at the optimal radius eps, from the edges at most eps."""
         na, nb = len(A), len(B)
         ends = np.bincount(E.row, minlength=na).cumsum().tolist()
-        by_death = [E.col[start:end].tolist() for start, end in zip([0, *ends], ends)]
+        # one int object per B point, shared by the rows: 8 bytes an entry, not a new int's 36
+        cols = np.arange(nb, dtype=object)[E.col].tolist()
+        by_death = [cols[start:end] for start, end in zip([0, *ends], ends)]
+        del cols
         row_of = [by_death[k] for k in np.argsort(self.order_a).tolist()]
         half_a = np.empty(na)
         half_a[self.order_a] = self.half_a
