@@ -5,12 +5,13 @@ Usage, from the repository root:
     python3 scripts/bottleneck_scale.py [PAIR ...]
 
 PAIR is one of the names in PAIRS; with none, every pair runs. Each
-(pair, function) runs in a fresh Python process, so its peak RSS is that of a
-process that built one pair of diagrams and made one call, and no row
-inherits the heap of another. A row gives the points a side in the largest
-index class, the distance, and per function the seconds of the one call and
-the peak RSS of the whole process after it. "Before" is the peak RSS once
-the diagrams are built, before the call.
+(pair, function) runs REPEATS times, each time in a fresh Python process, so
+its peak RSS is that of a process that built one pair of diagrams and made
+one call, and no run inherits the heap of another. A row gives the points a
+side in the largest index class, the distance, and per function the median
+over the runs of the seconds of the one call and of the peak RSS of the
+whole process after it. "Before" is the median peak RSS once the diagrams
+are built, before the call.
 
 The chain pairs are `random_chain(n, 0.7, seed=1)` against its first row-1
 edit that changes a finite point of the diagram: `PerturbationSpec(1, j,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ FUNCTIONS = ("bottleneck_distance", "bottleneck_matching")
 DENSITY = 0.7
 SEED = 1
 STEP = 0.005
+REPEATS = 3
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,8 +112,12 @@ def main(argv: list[str]) -> int:
         rows = []
         for function in FUNCTIONS:
             code = f"import json, bottleneck_scale; print(json.dumps(bottleneck_scale.measure({pair!r}, {function!r})))"
-            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-            rows.append(json.loads(out.stdout))
+            runs = []
+            for _ in range(REPEATS):
+                out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+                runs.append(json.loads(out.stdout))
+            row = {key: statistics.median(run[key] for run in runs) for key in ("seconds", "before_mb", "peak_mb")}
+            rows.append({**runs[0], **row})
         dist, match = rows
         print(
             f"| {pair} | {dist['points']} | {dist['distance']:.3g} "

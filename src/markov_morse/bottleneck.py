@@ -37,8 +37,9 @@ Per class, the finite points A and B cost what the class needs:
   checks: A's far points match into B, and B's far points match into A.
   Each check starts from the last matching it found, less the pairs that
   cost more than the radius: whatever radius it was found at, that is a
-  matching of this graph. Its breadth-first passes stop at the first layer
-  that reaches a free node, which finds a matching as large in fewer steps.
+  matching of this graph; the first check of a search starts empty. Its
+  breadth-first passes stop at the first layer that reaches a free node,
+  which finds a matching as large in fewer steps.
   The rows are read out of the edge arrays only when the search visits
   them. A feasible check also returns the radius of the matching it found,
   at most eps, which moves the search's upper end down to it.
@@ -49,6 +50,17 @@ Per class, the finite points A and B cost what the class needs:
   breadth-first layer, as the oracle's does. Slots are shared sequences, so
   no slot row is copied, and the rows share one int object per B point.
   `bottleneck_distance` stops at the radius.
+- Hopcroft-Karp from an empty matching, in the reported matching and in a
+  search's first check, runs its first phase as one greedy pass: each left
+  node in order takes the first free right node of its row. In that phase
+  every layer is 0, so the textbook depth-first search can take only a free
+  neighbour, and the pass makes the same matching. A warm-started check
+  keeps its breadth-first start: extending the warm start greedily took
+  `bottleneck_distance` on the n=200 chain pair from 0.7 s to 1.5 s in a
+  trial.
+
+A PersistencePoint is the tuple (birth, death, index); the loops over
+points read its fields by position.
 
 References: Efrat, Itai & Katz, Algorithmica 31 (2001); Kerber, Morozov &
 Nigmetov, "Geometry Helps to Compare Persistence Diagrams", JEA 22 (2017).
@@ -148,14 +160,24 @@ def _hopcroft_karp(
     search that takes the first free neighbour or enters the first neighbour
     whose partner lies one layer deeper, and marks a node that runs out of
     neighbours dead for the phase. Three things only skip work that has no
-    effect: when every left node is free, the first breadth-first pass is
-    not run (it would leave every layer at 0 and find a free neighbour iff
-    some row is non-empty); a breadth-first pass reads each sequence once
-    (after one scan every node in it is free or has a layered partner); and
-    the depth-first search reads a shared sequence through its `_Candidates`.
+    effect:
+
+    - From an empty matching the first phase is one greedy pass: each left
+      node in turn takes the first free right node of its row. Every left
+      node is at layer 0 in that phase and so is every partner, so the
+      depth-first search can only take a free neighbour, which is what the
+      pass does. Free nodes only get fewer during the pass, so each shared
+      sequence keeps one cursor at its first free position, which only
+      moves forward.
+    - A breadth-first pass reads each sequence once: after one scan every
+      node in it is free or has a layered partner.
+    - The depth-first search reads a shared sequence through its
+      `_Candidates`.
+
     With all_layers off, a breadth-first pass stops after the first layer
     that reaches a free right node and saves the deeper ones: the matching
-    is as large, but which one it is may differ.
+    is as large, but which one it is may differ. A warm start keeps its
+    breadth-first phases.
     """
     inf = math.inf
     n_left = len(adj)
@@ -164,8 +186,30 @@ def _hopcroft_karp(
     for u, v in enumerate(match_left):
         if v != -1:
             match_right[v] = u
-    all_free = all(v == -1 for v in match_left)
     shared_by_id = {id(seq): seq for seq in shared}
+    if all(v == -1 for v in match_left):
+        # the first phase: each left node takes the first free node of its row
+        cursor = dict.fromkeys(shared_by_id, 0)  # shared sequence -> its first position that may be free
+        for u, row in enumerate(adj):
+            for seq in row:
+                pos = cursor.get(id(seq))
+                if pos is None:
+                    for v in seq:
+                        if match_right[v] == -1:
+                            break
+                    else:
+                        continue
+                else:
+                    n = len(seq)
+                    while pos < n and match_right[seq[pos]] != -1:
+                        pos += 1
+                    cursor[id(seq)] = pos
+                    if pos == n:
+                        continue
+                    v = seq[pos]
+                match_left[u] = v
+                match_right[v] = u
+                break
     members: dict[int, list[tuple[int, int]]] = {}  # right node -> (shared sequence, position)
     for key, seq in shared_by_id.items():
         for pos, v in enumerate(seq):
@@ -202,37 +246,32 @@ def _hopcroft_karp(
                     path.pop()
 
     while True:
-        if all_free:
-            all_free = False
-            dist = [0] * n_left
-            found = any(len(seq) for row in adj for seq in row)
-        else:
-            dist = [inf] * n_left
-            queue = deque()
-            for u in range(n_left):
-                if match_left[u] == -1:
-                    dist[u] = 0
-                    queue.append(u)
-            found = False
-            last = inf  # the deepest layer to scan
-            scanned: set[int] = set()
-            while queue:
-                u = queue.popleft()
-                if dist[u] > last:
-                    break
-                for seq in adj[u]:
-                    if id(seq) in scanned:
-                        continue
-                    scanned.add(id(seq))
-                    for v in seq:
-                        w = match_right[v]
-                        if w == -1:
-                            found = True
-                            if not all_layers:
-                                last = dist[u]
-                        elif dist[w] == inf:
-                            dist[w] = dist[u] + 1
-                            queue.append(w)
+        dist = [inf] * n_left
+        queue = deque()
+        for u in range(n_left):
+            if match_left[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+        found = False
+        last = inf  # the deepest layer to scan
+        scanned: set[int] = set()
+        while queue:
+            u = queue.popleft()
+            if dist[u] > last:
+                break
+            for seq in adj[u]:
+                if id(seq) in scanned:
+                    continue
+                scanned.add(id(seq))
+                for v in seq:
+                    w = match_right[v]
+                    if w == -1:
+                        found = True
+                        if not all_layers:
+                            last = dist[u]
+                    elif dist[w] == inf:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
         if not found:
             return match_left
         candidates = {key: _Candidates(seq, match_right, dist) for key, seq in shared_by_id.items()}
@@ -247,11 +286,11 @@ def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[
         return 0.0, []
     if not B or not A:
         (p,) = A or B
-        h = (p.death - p.birth) / 2.0
+        h = (p[1] - p[0]) / 2.0
         return h, [MatchPair(p, None, h) if A else MatchPair(None, p, h)]
     (a,), (b,) = A, B
-    d = max(abs(a.birth - b.birth), abs(a.death - b.death))
-    h_a, h_b = (a.death - a.birth) / 2.0, (b.death - b.birth) / 2.0
+    d = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+    h_a, h_b = (a[1] - a[0]) / 2.0, (b[1] - b[0]) / 2.0
     if d <= max(h_a, h_b):
         return d, [MatchPair(a, b, d)]
     return max(h_a, h_b), [MatchPair(a, None, h_a), MatchPair(None, b, h_b)]
@@ -492,7 +531,7 @@ class _Class:
         for u, v in enumerate(match_left):
             if u < na and v < nb:
                 a, b = A[u], B[v]
-                pairs.append(MatchPair(a, b, max(abs(a.birth - b.birth), abs(a.death - b.death))))
+                pairs.append(MatchPair(a, b, max(abs(a[0] - b[0]), abs(a[1] - b[1]))))
             elif u < na:
                 pairs.append(MatchPair(A[u], None, half_a[u]))
             elif v < nb:
@@ -516,9 +555,9 @@ def _infinite_class_distance(
 ) -> tuple[float, list[MatchPair]]:
     if len(A) != len(B):
         return math.inf, []
-    A = sorted(A, key=lambda p: p.birth)
-    B = sorted(B, key=lambda p: p.birth)
-    pairs = [MatchPair(a, b, abs(a.birth - b.birth)) for a, b in zip(A, B)]
+    A = sorted(A, key=lambda p: p[0])
+    B = sorted(B, key=lambda p: p[0])
+    pairs = [MatchPair(a, b, abs(a[0] - b[0])) for a, b in zip(A, B)]
     dist = max((p.cost for p in pairs), default=0.0)
     return dist, pairs
 
@@ -527,7 +566,7 @@ def _by_class(D: PersistenceDiagram) -> dict[TopologicalIndex, tuple[list, list]
     """Each index class's finite and immortal points, in diagram order."""
     groups: dict[TopologicalIndex, tuple[list, list]] = {}
     for p in D.points:
-        groups.setdefault(p.index, ([], []))[math.isinf(p.death)].append(p)
+        groups.setdefault(p[2], ([], []))[math.isinf(p[1])].append(p)
     return groups
 
 

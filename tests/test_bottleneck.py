@@ -24,6 +24,7 @@ from markov_morse import (
     random_chain,
     run_filtration,
 )
+from markov_morse.bottleneck import _hopcroft_karp
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, matrix_distance
 from markov_morse.persistence import PersistencePoint
@@ -303,6 +304,95 @@ class TestAgainstFrozenOracle:
             assert sum(p.index == K01 and p.death < INF for p in D.points) == 226
         assert assert_same_as_oracle(D1, D2).distance == pytest.approx(9.34e-4, rel=1e-3)
         assert_same_as_oracle(D2, D1)
+
+
+def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
+    """Each left node's distinct right neighbours, in a random scan order."""
+    density = rng.choice([0.05, 0.2, 0.5, 0.9])
+    return [[v for v in rng.sample(range(n_right), n_right) if rng.random() < density] for _ in range(n_left)]
+
+
+def split(rng: random.Random, row: list[int]) -> tuple[list[int], ...]:
+    """row cut into consecutive sequences, some of them empty."""
+    cuts = sorted(rng.randint(0, len(row)) for _ in range(rng.randint(0, 3)))
+    return tuple(row[i:j] for i, j in zip([0, *cuts], [*cuts, len(row)]))
+
+
+def slot_graph(rng: random.Random, na: int, nb: int):
+    """The reported matching's graph: A's rows, then one B-slot row per B point sharing near_b and slots.
+
+    Returns the library's rows, the oracle's flat rows and the shared sequences.
+    """
+    slots = range(nb, nb + na)
+    near_b = [j for j in range(nb) if rng.random() < 0.5]
+    rows = [sorted(row) for row in random_rows(rng, na, nb)]
+    adj = [(row, slots) if rng.random() < 0.5 else (row,) for row in rows]
+    adj.extend([(near_b, slots)] * nb)
+    return adj, [[v for seq in row for v in seq] for row in adj], (near_b, slots)
+
+
+def assert_matching(adj, match_left):
+    """match_left pairs each left node with a neighbour, and no right node twice."""
+    taken = [v for v in match_left if v != -1]
+    assert len(taken) == len(set(taken))
+    assert all(v == -1 or any(v in seq for seq in row) for row, v in zip(adj, match_left))
+
+
+class TestHopcroftKarpAgainstOracle:
+    """The library's matching routine, from an empty matching, makes the textbook run's match_left."""
+
+    def test_plain_rows(self):
+        rng = random.Random(1973)
+        for _ in range(300):
+            n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
+            rows = random_rows(rng, n_left, n_right)
+            assert _hopcroft_karp([(row,) for row in rows], n_right) == oracle_hopcroft_karp(rows, n_right)
+
+    def test_rows_with_empty_sequences(self):
+        rng = random.Random(1974)
+        empty = 0
+        for _ in range(300):
+            n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
+            rows = random_rows(rng, n_left, n_right)
+            adj = [split(rng, row) for row in rows]
+            empty += sum(not seq for row in adj for seq in row)
+            assert _hopcroft_karp(adj, n_right) == oracle_hopcroft_karp(rows, n_right)
+        assert empty > 300  # the generator makes the empty sequences it is meant to
+
+    def test_no_edges(self):
+        for n_left, n_right in [(0, 0), (0, 3), (4, 0), (5, 5)]:
+            adj = [([],), (), ([], [])] * n_left
+            expected = oracle_hopcroft_karp([[]] * len(adj), n_right)
+            assert _hopcroft_karp(adj, n_right) == expected == [-1] * len(adj)
+
+    def test_slot_form(self):
+        rng = random.Random(1975)
+        for _ in range(300):
+            adj, flat, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
+            n_right = len(adj)  # na + nb on either side
+            assert _hopcroft_karp(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
+
+    def test_warm_start_finds_as_large_a_matching(self):
+        rng = random.Random(1976)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
+                rows = random_rows(rng, n_left, n_right)
+                adj, flat, shared = [split(rng, row) for row in rows], rows, ()
+            else:
+                adj, flat, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
+                n_right = len(adj)
+            # a random partial matching to start from
+            warm, used = [-1] * len(flat), set()
+            for u in rng.sample(range(len(flat)), len(flat)):
+                free = [v for v in flat[u] if v not in used]
+                if free and rng.random() < 0.6:
+                    warm[u] = rng.choice(free)
+                    used.add(warm[u])
+            result = _hopcroft_karp(adj, n_right, warm, shared=shared, all_layers=False)
+            assert_matching(adj, result)
+            expected = oracle_hopcroft_karp(flat, n_right)
+            assert sum(v != -1 for v in result) == sum(v != -1 for v in expected)
 
 
 def traced_peak(f, *args):
