@@ -6,23 +6,33 @@ point inherits its class. Infinite points pair off sorted by birth and any
 count mismatch makes the class, and the whole distance, infinite. The
 overall distance is the maximum over classes.
 
-Per class, the finite points A and B cost what the class needs:
+Per class, the finite points A and B take one of three routes, by size:
 
 - At most one point a side: a closed form in plain Python. With d the
   l-infinity distance and h_a, h_b the half-persistences (the cost of
   reaching the diagonal), the distance is min(d, max(h_a, h_b)), by the
   pair (a, b) when d <= max(h_a, h_b) and by both points going to the
   diagonal otherwise. A lone point costs its own h.
-- Otherwise the l-infinity matrix D is read in windows and never held
+- len(A) * len(B) at most _DENSE_ENTRIES (2**16): the dense route. D is
+  computed once, every candidate radius (D's entries, the
+  half-persistences and 0) is sorted, and a binary search from the exact
+  lower bound of D's row and column minima probes them, each probe with
+  the two one-sided checks below from an empty matching. Under the budget
+  it is the faster route at about the same memory: in
+  `scripts/route_crossover.py`, on a class of 200 points a side, the
+  distance takes 2.2-10 ms against 3.8-12 ms and both routes peak at
+  0.9-1.0 MB traced. Its peak grows with the square: 1.6 times the
+  windowed route's at 400 points a side, 2.3-3.1 times at 800.
+- Otherwise the windowed route: D is read in windows and never held
   whole. Both sides are sorted by death. An entry D_ij <= r needs
   |death_i - death_j| <= r, so a block of rows meets such entries only in
   one window of the other side's deaths. `_Class.edges(r)` reads D in blocks
   of _BLOCK rows within those windows and keeps the entries at most r, so
   memory is linear in points plus those entries.
-- The radius. The optimum is the smallest feasible candidate radius: an
-  entry of D, a half-persistence or 0. No radius below the largest cheapest
-  way out of a single point (its nearest partner or the diagonal) is
-  feasible. Each point's cost to its nearest partners in death bounds its
+- The windowed radius. The optimum is the smallest feasible candidate
+  radius: an entry of D, a half-persistence or 0. No radius below the
+  largest cheapest way out of a single point (its nearest partner or the
+  diagonal) is feasible. Each point's cost to its nearest partners in death bounds its
   way out, so one pass of row and column minima over the windows at the
   largest such bound gives that lower bound exactly. An exponential search
   from it, capped by the largest half-persistence (which is always
@@ -35,14 +45,14 @@ Per class, the finite points A and B cost what the class needs:
   (half-persistence > eps) of both sides, since the free slot-to-slot pairs
   absorb the rest. By Mendelsohn-Dulmage that splits into two one-sided
   checks: A's far points match into B, and B's far points match into A.
-  Each check starts from the last matching it found, less the pairs that
-  cost more than the radius: whatever radius it was found at, that is a
-  matching of this graph; the first check of a search starts empty. Its
-  breadth-first passes stop at the first layer that reaches a free node,
-  which finds a matching as large in fewer steps.
-  The rows are read out of the edge arrays only when the search visits
-  them. A feasible check also returns the radius of the matching it found,
-  at most eps, which moves the search's upper end down to it.
+  The checks' breadth-first passes stop at the first layer that reaches a
+  free node, which finds a matching as large in fewer steps. On the
+  windowed route each check starts from the last matching it found, less
+  the pairs that cost more than the radius: whatever radius it was found
+  at, that is a matching of this graph; the first check of a search starts
+  empty. The rows are read out of the edge arrays only when the search
+  visits them. A feasible check also returns the radius of the matching it
+  found, at most eps, which moves the search's upper end down to it.
 - The reported matching, in `bottleneck_matching` only. At the optimum the
   graph with diagonal slots is built once, rows in the order A's points then
   B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
@@ -50,14 +60,14 @@ Per class, the finite points A and B cost what the class needs:
   breadth-first layer, as the oracle's does. Slots are shared sequences, so
   no slot row is copied, and the rows share one int object per B point.
   `bottleneck_distance` stops at the radius.
-- Hopcroft-Karp from an empty matching, in the reported matching and in a
-  search's first check, runs its first phase as one greedy pass: each left
-  node in order takes the first free right node of its row. In that phase
-  every layer is 0, so the textbook depth-first search can take only a free
-  neighbour, and the pass makes the same matching. A warm-started check
-  keeps its breadth-first start: extending the warm start greedily took
-  `bottleneck_distance` on the n=200 chain pair from 0.7 s to 1.5 s in a
-  trial.
+- Hopcroft-Karp from an empty matching, in the reported matching, in every
+  dense probe and in a windowed search's first check, runs its first phase
+  as one greedy pass: each left node in order takes the first free right
+  node of its row. In that phase every layer is 0, so the textbook
+  depth-first search can take only a free neighbour, and the pass makes the
+  same matching. A warm-started check keeps its breadth-first start:
+  extending the warm start greedily took `bottleneck_distance` on the n=200
+  chain pair from 0.7 s to 1.5 s in a trial.
 
 A PersistencePoint is the tuple (birth, death, index); the loops over
 points read its fields by position.
@@ -80,6 +90,7 @@ import numpy as np
 from .homology import TopologicalIndex
 from .persistence import PersistenceDiagram, PersistencePoint
 
+_DENSE_ENTRIES = 2**16  # the largest class, as len(A) * len(B), that holds its dense D
 _BLOCK = 256  # rows of D read at a time
 _GROWTH = 2**0.5  # step of the exponential radius search
 
@@ -298,8 +309,6 @@ def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[
 
 def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
     """Per point of x, D to the points of y (sorted by death) nearest in death: at least its row minimum."""
-    if not len(death_y):
-        return np.full(len(death_x), math.inf)
     k = np.searchsorted(death_y, death_x)
     cost = []
     for j in (np.maximum(k - 1, 0), np.minimum(k, len(death_y) - 1)):
@@ -356,8 +365,8 @@ class _Class:
 
     def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
         # (birth, death) rows; a PersistencePoint is the tuple (birth, death, index)
-        a = np.array([p[:2] for p in A], dtype=float).reshape(len(A), 2)
-        b = np.array([p[:2] for p in B], dtype=float).reshape(len(B), 2)
+        a = np.array([p[:2] for p in A], dtype=float)
+        b = np.array([p[:2] for p in B], dtype=float)
         self.order_a = np.argsort(a[:, 1], kind="stable")
         self.order_b = np.argsort(b[:, 1], kind="stable")
         self.birth_a, self.death_a = np.ascontiguousarray(a[self.order_a].T)
@@ -367,7 +376,7 @@ class _Class:
         self.half_b = (self.death_b - self.birth_b) / 2.0
         # far enough past every rounding in `death - r` that a window never
         # drops an entry of D at most r
-        self.slack = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) * 2.0**-40
+        self.slack = max(np.abs(a).max(), np.abs(b).max()) * 2.0**-40
         # per side, each point's partner in the last matching found and its cost
         self.mate = (np.full(len(A), -1), np.full(len(B), -1))
         self.cost = (np.full(len(A), math.inf), np.full(len(B), math.inf))
@@ -510,33 +519,108 @@ class _Class:
         self, A: list[PersistencePoint], B: list[PersistencePoint], eps: float, E: _Edges
     ) -> list[MatchPair]:
         """The reported pairs at the optimal radius eps, from the edges at most eps."""
-        na, nb = len(A), len(B)
-        ends = np.bincount(E.row, minlength=na).cumsum().tolist()
-        # one int object per B point, shared by the rows: 8 bytes an entry, not a new int's 36
-        cols = np.arange(nb, dtype=object)[E.col].tolist()
-        by_death = [cols[start:end] for start, end in zip([0, *ends], ends)]
-        del cols
-        row_of = [by_death[k] for k in np.argsort(self.order_a).tolist()]
-        half_a = np.empty(na)
+        by_death = _row_lists(E.row, E.col, len(A), len(B))
+        half_a = np.empty(len(A))
         half_a[self.order_a] = self.half_a
-        half_a, half_b = half_a.tolist(), self.half_b.tolist()
-        # the graph with diagonal slots: A's points then one slot per B point on
-        # the left, B's points then one slot per A point on the right
-        slots = range(nb, nb + na)
-        near_b = [j for j, h in enumerate(half_b) if h <= eps]
-        adj = [(row, slots) if h <= eps else (row,) for row, h in zip(row_of, half_a)]
-        adj.extend([(near_b, slots)] * nb)
-        match_left = _hopcroft_karp(adj, na + nb, shared=(near_b, slots))
-        pairs = []
-        for u, v in enumerate(match_left):
-            if u < na and v < nb:
-                a, b = A[u], B[v]
-                pairs.append(MatchPair(a, b, max(abs(a[0] - b[0]), abs(a[1] - b[1]))))
-            elif u < na:
-                pairs.append(MatchPair(A[u], None, half_a[u]))
-            elif v < nb:
-                pairs.append(MatchPair(None, B[v], half_b[v]))
-        return pairs
+        rows = [by_death[k] for k in np.argsort(self.order_a).tolist()]
+        return _slot_pairs(A, B, rows, half_a.tolist(), self.half_b.tolist(), eps)
+
+
+def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> list[list[int]]:
+    """Each row's columns as a list, from entries sorted by row.
+
+    The rows share one int object per column: 8 bytes an entry, not a new int's 36.
+    """
+    ends = np.bincount(row, minlength=n_rows).cumsum().tolist()
+    cols = np.arange(n_cols, dtype=object)[col].tolist()
+    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _slot_pairs(
+    A: list[PersistencePoint],
+    B: list[PersistencePoint],
+    rows: list[list[int]],
+    half_a: list[float],
+    half_b: list[float],
+    eps: float,
+) -> list[MatchPair]:
+    """The reported pairs at the optimal radius eps.
+
+    rows holds each A point's columns of {D <= eps}, in A's order and each
+    ascending; half_a and half_b the half-persistences in A's and B's order.
+    """
+    na, nb = len(A), len(B)
+    # the graph with diagonal slots: A's points then one slot per B point on
+    # the left, B's points then one slot per A point on the right
+    slots = range(nb, nb + na)
+    near_b = [j for j, h in enumerate(half_b) if h <= eps]
+    adj = [(row, slots) if h <= eps else (row,) for row, h in zip(rows, half_a)]
+    adj.extend([(near_b, slots)] * nb)
+    match_left = _hopcroft_karp(adj, na + nb, shared=(near_b, slots))
+    pairs = []
+    for u, v in enumerate(match_left):
+        if u < na and v < nb:
+            a, b = A[u], B[v]
+            pairs.append(MatchPair(a, b, max(abs(a[0] - b[0]), abs(a[1] - b[1]))))
+        elif u < na:
+            pairs.append(MatchPair(A[u], None, half_a[u]))
+        elif v < nb:
+            pairs.append(MatchPair(None, B[v], half_b[v]))
+    return pairs
+
+
+def _covers(within: np.ndarray) -> bool:
+    """Whether some matching in the bipartite graph within covers every row."""
+    # the rows live for one probe, so they skip `_row_lists`' shared ints,
+    # which cost 7% of the dense distance on `match` classes
+    cols = within.nonzero()[1].tolist()
+    ends = within.sum(axis=1).cumsum().tolist()
+    adj = [(cols[start:end],) for start, end in zip([0, *ends], ends)]
+    return -1 not in _hopcroft_karp(adj, within.shape[1], all_layers=False)
+
+
+def _dense_class(
+    A: list[PersistencePoint], B: list[PersistencePoint], report: bool
+) -> tuple[float, list[MatchPair]]:
+    """A class whose dense D has at most _DENSE_ENTRIES entries: every candidate radius is sorted.
+
+    A binary search from the exact lower bound probes them, each probe with
+    the two one-sided checks from an empty matching.
+    """
+    na, nb = len(A), len(B)
+    birth_a, death_a = np.array([p[:2] for p in A], dtype=float).reshape(na, 2).T
+    birth_b, death_b = np.array([p[:2] for p in B], dtype=float).reshape(nb, 2).T
+    D = np.abs(np.subtract.outer(birth_a, birth_b))
+    np.maximum(D, np.abs(np.subtract.outer(death_a, death_b)), out=D)
+    half_a, half_b = (death_a - birth_a) / 2.0, (death_b - birth_b) / 2.0
+    # repeated radii cost at most one more search step; np.unique would also
+    # import numpy.ma, which then stays resident
+    radii = np.sort(np.concatenate((D.ravel(), half_a, half_b, [0.0])))
+    # below the cheapest way out of some point (its nearest partner or the
+    # diagonal) that point stays unmatched; this bound is itself a radius
+    lower = max(
+        np.minimum(half_a, D.min(axis=1, initial=math.inf)).max(initial=0.0),
+        np.minimum(half_b, D.min(axis=0, initial=math.inf)).max(initial=0.0),
+    )
+
+    def feasible(eps: float) -> bool:
+        within = D <= eps
+        return _covers(within[half_a > eps]) and _covers(within.T[half_b > eps])
+
+    lo, hi = int(np.searchsorted(radii, lower)), len(radii) - 1
+    if not feasible(radii[lo]):
+        lo += 1
+        while lo < hi:  # the smallest feasible radius; the largest always is
+            mid = (lo + hi) // 2
+            if feasible(radii[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+    eps = float(radii[lo])
+    if not report:
+        return eps, []
+    rows = _row_lists(*(D <= eps).nonzero(), na, nb)
+    return eps, _slot_pairs(A, B, rows, half_a.tolist(), half_b.tolist(), eps)
 
 
 def _finite_class_distance(
@@ -545,6 +629,8 @@ def _finite_class_distance(
     """The class's distance, and its reported pairs when report is set."""
     if len(A) <= 1 and len(B) <= 1:
         return _closed_form(A, B)
+    if len(A) * len(B) <= _DENSE_ENTRIES:
+        return _dense_class(A, B, report)
     c = _Class(A, B)
     eps, E = c.radius()
     return eps, c.matching(A, B, eps, E) if report else []

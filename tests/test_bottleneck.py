@@ -24,6 +24,7 @@ from markov_morse import (
     random_chain,
     run_filtration,
 )
+from markov_morse import bottleneck
 from markov_morse.bottleneck import _hopcroft_karp
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, matrix_distance
@@ -304,6 +305,28 @@ class TestAgainstFrozenOracle:
             assert sum(p.index == K01 and p.death < INF for p in D.points) == 226
         assert assert_same_as_oracle(D1, D2).distance == pytest.approx(9.34e-4, rel=1e-3)
         assert_same_as_oracle(D2, D1)
+
+
+class TestAgainstFrozenOracleWindowed(TestAgainstFrozenOracle):
+    """The same comparisons with the budget at 0, so that they reach the windowed route.
+
+    Every class with points on both sides and more than one on some side
+    takes it; at the default budget no class of these comparisons does.
+    """
+
+    @pytest.fixture(autouse=True)
+    def windowed(self, monkeypatch):
+        reached = []
+
+        class Counted(bottleneck._Class):
+            def __init__(self, A, B):
+                reached.append(len(A) * len(B))
+                super().__init__(A, B)
+
+        monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
+        monkeypatch.setattr(bottleneck, "_Class", Counted)
+        yield
+        assert reached  # the comparisons did reach the windowed route
 
 
 def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
