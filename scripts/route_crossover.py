@@ -31,7 +31,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from markov_morse.bottleneck import _Class, _dense_class  # noqa: E402
+from markov_morse.bottleneck import _Class, _Dense, _radius, _slot_pairs  # noqa: E402
 from markov_morse.homology import TopologicalIndex  # noqa: E402
 from markov_morse.persistence import PersistencePoint  # noqa: E402
 
@@ -63,27 +63,27 @@ def class_pair(points: int, near: bool) -> tuple[list[PersistencePoint], list[Pe
     return A, B
 
 
-def windowed_class(A, B, report: bool):
-    """What `_finite_class_distance` runs on a class above the budget."""
-    c = _Class(A, B)
-    eps, E = c.radius()
-    return eps, c.matching(A, B, eps, E) if report else []
+ROUTES = {"dense": _Dense, "windowed": _Class}
 
 
-ROUTES = {"dense": _dense_class, "windowed": windowed_class}
+def solve(route, A, B, report: bool):
+    """What `_finite_class_distance` runs on a class the route takes."""
+    c = route(A, B)
+    eps = _radius(c)
+    return eps, _slot_pairs(A, B, *c.rows(eps), eps) if report else []
 
 
 def per_call_ms(route, A, B, report: bool, calls: int) -> tuple[float, tuple]:
     start = time.perf_counter()
     for _ in range(calls):
-        result = route(A, B, report)
+        result = solve(route, A, B, report)
     return (time.perf_counter() - start) * 1e3 / calls, result
 
 
 def traced_peak_mb(route, A, B) -> float:
     tracemalloc.start()
     try:
-        route(A, B, True)
+        solve(route, A, B, True)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -93,7 +93,7 @@ def row(points: int, near: bool) -> str:
     A, B = class_pair(points, near)
     calls = max(1, CALL_ENTRIES // (points * points))
     ms = {(name, report): [] for name in ROUTES for report in (False, True)}
-    expected = {report: _dense_class(A, B, report) for report in (False, True)}
+    expected = {report: solve(_Dense, A, B, report) for report in (False, True)}
     for r in range(-1, ROUNDS):  # round -1 warms both routes up and is not timed
         names = list(ROUTES) if r % 2 == 0 else list(reversed(ROUTES))
         for report in (False, True):

@@ -13,32 +13,27 @@ Per class, the finite points A and B take one of three routes, by size:
   reaching the diagonal), the distance is min(d, max(h_a, h_b)), by the
   pair (a, b) when d <= max(h_a, h_b) and by both points going to the
   diagonal otherwise. A lone point costs its own h.
-- len(A) * len(B) at most _DENSE_ENTRIES (2**16): the dense route. D is
-  computed once, every candidate radius (D's entries, the
-  half-persistences and 0) is sorted, and a binary search from the exact
-  lower bound of D's row and column minima probes them, each probe with
-  the two one-sided checks below from an empty matching. Under the budget
-  it is the faster route at about the same memory: in
-  `scripts/route_crossover.py`, on a class of 200 points a side, the
-  distance takes 2.2-10 ms against 3.8-12 ms and both routes peak at
-  0.9-1.0 MB traced. Its peak grows with the square: 1.6 times the
-  windowed route's at 400 points a side, 2.3-3.1 times at 800.
-- Otherwise the windowed route: D is read in windows and never held
-  whole. Both sides are sorted by death. An entry D_ij <= r needs
+- len(A) * len(B) at most _DENSE_ENTRIES (2**16): the dense route,
+  `_Dense`. D is computed once and held whole, and each probe runs the two
+  one-sided checks below from an empty matching.
+- Otherwise the windowed route, `_Class`: D is read in windows and never
+  held whole. Both sides are sorted by death. An entry D_ij <= r needs
   |death_i - death_j| <= r, so a block of rows meets such entries only in
   one window of the other side's deaths. `_Class.edges(r)` reads D in blocks
   of _BLOCK rows within those windows and keeps the entries at most r, so
   memory is linear in points plus those entries.
-- The windowed radius. The optimum is the smallest feasible candidate
-  radius: an entry of D, a half-persistence or 0. No radius below the
-  largest cheapest way out of a single point (its nearest partner or the
-  diagonal) is feasible. Each point's cost to its nearest partners in death bounds its
-  way out, so one pass of row and column minima over the windows at the
-  largest such bound gives that lower bound exactly. An exponential search
-  from it, capped by the largest half-persistence (which is always
-  feasible), finds the highest infeasible and the lowest feasible radius.
-  Only the candidates between the two are sorted, and a binary search over
-  them finds the smallest feasible one.
+- The radius, one search for both routes. The optimum is the smallest
+  feasible candidate radius: an entry of D or a half-persistence. No radius
+  below the largest cheapest way out of a single point (its nearest partner
+  or the diagonal) is feasible, and that bound is itself a candidate, probed
+  first. The dense route reads it off D's row and column minima; on the
+  windowed route each point's cost to its nearest partners in death bounds
+  its way out, so one pass of row and column minima over the windows at the
+  largest such bound gives it exactly. An exponential search from it,
+  capped by the largest half-persistence (which is always feasible), finds
+  the highest infeasible and the lowest feasible radius. Only the
+  candidates between the two are sorted, and a binary search over them
+  finds the smallest feasible one.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
   exists iff some matching in the graph {D <= eps} covers every far point
@@ -307,6 +302,13 @@ def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[
     return max(h_a, h_b), [MatchPair(a, None, h_a), MatchPair(None, b, h_b)]
 
 
+def _linf(birth_a, death_a, birth_b, death_b) -> np.ndarray:
+    """D between the points a and the points b, one row per a: the l-infinity distance."""
+    D = np.abs(np.subtract.outer(birth_a, birth_b))
+    np.maximum(D, np.abs(np.subtract.outer(death_a, death_b)), out=D)
+    return D
+
+
 def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
     """Per point of x, D to the points of y (sorted by death) nearest in death: at least its row minimum."""
     k = np.searchsorted(death_y, death_x)
@@ -380,6 +382,7 @@ class _Class:
         # per side, each point's partner in the last matching found and its cost
         self.mate = (np.full(len(A), -1), np.full(len(B), -1))
         self.cost = (np.full(len(A), math.inf), np.full(len(B), math.inf))
+        self.E, self.read_at = None, -math.inf  # the edges at most the largest radius probed
 
     def edges(self, r: float, outs: tuple[np.ndarray, np.ndarray] | None = None) -> _Edges:
         """Every entry of D at most r, read in row blocks within death windows.
@@ -398,8 +401,7 @@ class _Class:
             if l == h:
                 continue
             block, window = slice(s, s + _BLOCK), np.sort(self.order_b[l:h])
-            D = np.abs(np.subtract.outer(self.birth_a[block], self.birth_b[window]))
-            np.maximum(D, np.abs(np.subtract.outer(self.death_a[block], self.death_b[window])), out=D)
+            D = _linf(self.birth_a[block], self.death_a[block], self.birth_b[window], self.death_b[window])
             if outs is not None:
                 np.minimum(outs[0][block], D.min(axis=1), out=outs[0][block])
                 outs[1][window] = np.minimum(outs[1][window], D.min(axis=0))
@@ -432,7 +434,7 @@ class _Class:
         self.edges(bound, (out_a, out_b))
         return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
 
-    def _cover(self, side: int, E: _Edges, eps: float) -> float | None:
+    def _cover(self, side: int, eps: float) -> float | None:
         """Match the side's far points into the other side in {D <= eps}; side 0 is A, 1 is B.
 
         The search starts from the side's last matching, less its pairs that
@@ -446,6 +448,7 @@ class _Class:
         left = np.flatnonzero(far)
         if not len(left):
             return half.max(initial=0.0)
+        E = self.E
         keep = E.val <= eps
         keep &= far[(E.row, E.col)[side]]
         owner, other = E.kept(side, keep)
@@ -469,61 +472,31 @@ class _Class:
             return None
         return max(cost[left].max(), half[~far].max(initial=0.0))
 
-    def feasible(self, E: _Edges, eps: float) -> float | None:
-        """A radius at most eps at which both sides' far points match into the other side.
+    def probe(self, eps: float) -> float | None:
+        """None when eps is infeasible, otherwise the radius, at most eps, of the matchings found.
 
-        None when there is none: eps is infeasible.
+        The edges are read again only when eps is above the last radius read.
         """
-        x = self._cover(0, E, eps)
-        y = None if x is None else self._cover(1, E, eps)
+        if eps > self.read_at:
+            self.E = None  # freed before the larger set of edges is read
+            self.E, self.read_at = self.edges(eps), eps
+        x = self._cover(0, eps)
+        y = None if x is None else self._cover(1, eps)
         return None if y is None else max(x, y)
 
-    def radius(self) -> tuple[float, _Edges]:
-        """The smallest feasible candidate radius, with the edges at most it."""
-        halves = np.concatenate((self.half_a, self.half_b))
-        cap = halves.max()
-        unit = halves[halves > 0].min(initial=cap)
+    def values(self) -> np.ndarray:
+        """Every entry of D at most the largest radius probed."""
+        return self.E.val
 
-        def grow(r: float) -> float:
-            return min(r * _GROWTH, cap) if r > 0 else unit
-
-        lower = self.lower()
-        E = self.edges(lower)
-        if self.feasible(E, lower) is not None:
-            return float(lower), E
-        low = r = lower  # low: the highest radius known infeasible
-        while True:
-            r = grow(r)
-            del E  # freed before the larger set of edges is read
-            E = self.edges(r)
-            found = self.feasible(E, r)
-            if found is not None:
-                break
-            low = r
-        # the candidates in (low, r]; a feasible probe's own radius is one of them.
-        # Repeated radii cost at most one more search step; np.unique would
-        # also import numpy.ma, which then stays resident.
-        radii = np.sort(np.concatenate((E.val[E.val > low], halves[(halves > low) & (halves <= r)])))
-        lo, hi = 0, int(np.searchsorted(radii, found))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            found = self.feasible(E, radii[mid])
-            if found is None:
-                lo = mid + 1
-            else:
-                hi = int(np.searchsorted(radii, found))
-        keep = E.val <= radii[lo]
-        return float(radii[lo]), _Edges(E.row[keep], E.col[keep], E.val[keep])
-
-    def matching(
-        self, A: list[PersistencePoint], B: list[PersistencePoint], eps: float, E: _Edges
-    ) -> list[MatchPair]:
-        """The reported pairs at the optimal radius eps, from the edges at most eps."""
-        by_death = _row_lists(E.row, E.col, len(A), len(B))
-        half_a = np.empty(len(A))
-        half_a[self.order_a] = self.half_a
-        rows = [by_death[k] for k in np.argsort(self.order_a).tolist()]
-        return _slot_pairs(A, B, rows, half_a.tolist(), self.half_b.tolist(), eps)
+    def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
+        """The rows of {D <= eps} in A's order, and both sides' half-persistences; frees the edges."""
+        keep = self.E.val <= eps
+        row, col = self.E.row[keep], self.E.col[keep]
+        self.E = keep = None  # freed before the rows are built
+        by_death = _row_lists(row, col, len(self.half_a), len(self.half_b))
+        by_index = np.argsort(self.order_a)  # each point's position by death
+        rows = [by_death[k] for k in by_index.tolist()]
+        return rows, self.half_a[by_index].tolist(), self.half_b.tolist()
 
 
 def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> list[list[int]]:
@@ -579,48 +552,64 @@ def _covers(within: np.ndarray) -> bool:
     return -1 not in _hopcroft_karp(adj, within.shape[1], all_layers=False)
 
 
-def _dense_class(
-    A: list[PersistencePoint], B: list[PersistencePoint], report: bool
-) -> tuple[float, list[MatchPair]]:
-    """A class whose dense D has at most _DENSE_ENTRIES entries: every candidate radius is sorted.
+class _Dense:
+    """One class's finite points, with D held whole; each probe starts from an empty matching."""
 
-    A binary search from the exact lower bound probes them, each probe with
-    the two one-sided checks from an empty matching.
-    """
-    na, nb = len(A), len(B)
-    birth_a, death_a = np.array([p[:2] for p in A], dtype=float).reshape(na, 2).T
-    birth_b, death_b = np.array([p[:2] for p in B], dtype=float).reshape(nb, 2).T
-    D = np.abs(np.subtract.outer(birth_a, birth_b))
-    np.maximum(D, np.abs(np.subtract.outer(death_a, death_b)), out=D)
-    half_a, half_b = (death_a - birth_a) / 2.0, (death_b - birth_b) / 2.0
-    # repeated radii cost at most one more search step; np.unique would also
-    # import numpy.ma, which then stays resident
-    radii = np.sort(np.concatenate((D.ravel(), half_a, half_b, [0.0])))
-    # below the cheapest way out of some point (its nearest partner or the
-    # diagonal) that point stays unmatched; this bound is itself a radius
-    lower = max(
-        np.minimum(half_a, D.min(axis=1, initial=math.inf)).max(initial=0.0),
-        np.minimum(half_b, D.min(axis=0, initial=math.inf)).max(initial=0.0),
-    )
+    def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
+        birth_a, death_a = np.array([p[:2] for p in A], dtype=float).reshape(len(A), 2).T
+        birth_b, death_b = np.array([p[:2] for p in B], dtype=float).reshape(len(B), 2).T
+        self.D = _linf(birth_a, death_a, birth_b, death_b)
+        self.half_a, self.half_b = (death_a - birth_a) / 2.0, (death_b - birth_b) / 2.0
 
-    def feasible(eps: float) -> bool:
-        within = D <= eps
-        return _covers(within[half_a > eps]) and _covers(within.T[half_b > eps])
+    def lower(self) -> float:
+        """The largest cheapest way out of a single point: its nearest partner or the diagonal."""
+        return max(
+            np.minimum(self.half_a, self.D.min(axis=1, initial=math.inf)).max(initial=0.0),
+            np.minimum(self.half_b, self.D.min(axis=0, initial=math.inf)).max(initial=0.0),
+        )
 
-    lo, hi = int(np.searchsorted(radii, lower)), len(radii) - 1
-    if not feasible(radii[lo]):
-        lo += 1
-        while lo < hi:  # the smallest feasible radius; the largest always is
-            mid = (lo + hi) // 2
-            if feasible(radii[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-    eps = float(radii[lo])
-    if not report:
-        return eps, []
-    rows = _row_lists(*(D <= eps).nonzero(), na, nb)
-    return eps, _slot_pairs(A, B, rows, half_a.tolist(), half_b.tolist(), eps)
+    def probe(self, eps: float) -> float | None:
+        """None when eps is infeasible, otherwise eps."""
+        within = self.D <= eps
+        if _covers(within[self.half_a > eps]) and _covers(within.T[self.half_b > eps]):
+            return eps
+        return None
+
+    def values(self) -> np.ndarray:
+        """Every entry of D."""
+        return self.D.ravel()
+
+    def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
+        """The rows of {D <= eps} in A's order, and both sides' half-persistences."""
+        rows = _row_lists(*(self.D <= eps).nonzero(), *self.D.shape)
+        return rows, self.half_a.tolist(), self.half_b.tolist()
+
+
+def _radius(c: _Dense | _Class) -> float:
+    """The smallest feasible candidate radius: the lower bound, or a search of the bracket above it."""
+    halves = np.concatenate((c.half_a, c.half_b))
+    cap = halves.max()
+    unit = halves[halves > 0].min(initial=cap)
+    r = c.lower()
+    found = c.probe(r)
+    if found is not None:
+        return float(r)
+    while found is None:
+        low, r = r, (min(r * _GROWTH, cap) if r > 0 else unit)  # low: the highest radius known infeasible
+        found = c.probe(r)
+    # the candidates in (low, r]; a feasible probe's own radius is one of them.
+    # Repeated radii cost at most one more search step; np.unique would
+    # also import numpy.ma, which then stays resident.
+    radii = np.sort(np.concatenate([x[(x > low) & (x <= r)] for x in (c.values(), halves)]))
+    lo, hi = 0, int(np.searchsorted(radii, found))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = c.probe(radii[mid])
+        if found is None:
+            lo = mid + 1
+        else:
+            hi = int(np.searchsorted(radii, found))
+    return float(radii[lo])
 
 
 def _finite_class_distance(
@@ -629,11 +618,9 @@ def _finite_class_distance(
     """The class's distance, and its reported pairs when report is set."""
     if len(A) <= 1 and len(B) <= 1:
         return _closed_form(A, B)
-    if len(A) * len(B) <= _DENSE_ENTRIES:
-        return _dense_class(A, B, report)
-    c = _Class(A, B)
-    eps, E = c.radius()
-    return eps, c.matching(A, B, eps, E) if report else []
+    c = (_Dense if len(A) * len(B) <= _DENSE_ENTRIES else _Class)(A, B)
+    eps = _radius(c)
+    return eps, _slot_pairs(A, B, *c.rows(eps), eps) if report else []
 
 
 def _infinite_class_distance(

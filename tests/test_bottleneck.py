@@ -30,6 +30,7 @@ from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, matrix_distance
 from markov_morse.persistence import PersistencePoint
 
+from bottleneck_oracle import _feasible as oracle_feasible
 from bottleneck_oracle import _hopcroft_karp as oracle_hopcroft_karp
 from bottleneck_oracle import oracle_matching
 
@@ -327,6 +328,42 @@ class TestAgainstFrozenOracleWindowed(TestAgainstFrozenOracle):
         monkeypatch.setattr(bottleneck, "_Class", Counted)
         yield
         assert reached  # the comparisons did reach the windowed route
+
+
+class TestProbesAgainstOracle:
+    """Each route's probe against the oracle's feasibility test, at every candidate radius."""
+
+    def check(self, c, A, B, r):
+        found = c.probe(r)
+        assert (found is None) == (oracle_feasible(A, B, r) is None)
+        if found is not None:
+            assert found <= r and oracle_feasible(A, B, found) is not None
+
+    def test_tie_heavy_classes(self):
+        # the first half of `test_tie_heavy_small_pairs`' pool, which keeps this test near 2 s
+        pool, rng = random.Random(2017), random.Random(1990)
+        probed = 0
+        for _ in range(600):
+            groups1, groups2 = map(bottleneck._by_class, tie_heavy_pair(pool))
+            for k in groups1.keys() | groups2.keys():
+                (A, _), (B, _) = groups1.get(k, ([], [])), groups2.get(k, ([], []))
+                if max(len(A), len(B)) < 2:
+                    continue
+                radii = sorted(
+                    {(p.death - p.birth) / 2.0 for p in A + B}
+                    | {max(abs(a.birth - b.birth), abs(a.death - b.death)) for a in A for b in B}
+                )
+                # only the dense route takes a class empty on one side
+                routes = [(bottleneck._Dense(A, B), radii)]
+                if A and B:
+                    # the shuffled radii run the warm starts out of order
+                    routes.append((bottleneck._Class(A, B), radii))
+                    routes.append((bottleneck._Class(A, B), rng.sample(radii, len(radii))))
+                for c, order in routes:
+                    for r in order:
+                        self.check(c, A, B, r)
+                        probed += 1
+        assert probed > 15_000
 
 
 def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
