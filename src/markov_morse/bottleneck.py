@@ -53,8 +53,8 @@ Per class, the finite points A and B take one of three routes, by size:
   B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
   fixes which pairs are reported and in what order; this run keeps every
   breadth-first layer, as the oracle's does. Slots are shared sequences, so
-  no slot row is copied, and the rows share one int object per B point.
-  `bottleneck_distance` stops at the radius.
+  no slot row is copied; a windowed class's rows also share one int object
+  per B point. `bottleneck_distance` stops at the radius.
 - Hopcroft-Karp from an empty matching, in the reported matching, in every
   dense probe and in a windowed search's first check, runs its first phase
   as one greedy pass: each left node in order takes the first free right
@@ -62,7 +62,10 @@ Per class, the finite points A and B take one of three routes, by size:
   depth-first search can take only a free neighbour, and the pass makes the
   same matching. A warm-started check keeps its breadth-first start:
   extending the warm start greedily took `bottleneck_distance` on the n=200
-  chain pair from 0.7 s to 1.5 s in a trial.
+  chain pair from 0.7 s to 1.5 s in a trial. The later phases' breadth-first
+  passes run one layer at a time on set operations, not edge by edge.
+- Where death - birth overflows, a half-persistence is death / 2.0 -
+  birth / 2.0, so finite diagrams keep a finite distance.
 
 A PersistencePoint is the tuple (birth, death, index); the loops over
 points read its fields by position.
@@ -75,7 +78,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from collections.abc import Iterator, Sequence
 from itertools import chain
 from typing import NamedTuple
@@ -175,10 +177,13 @@ def _hopcroft_karp(
       pass does. Free nodes only get fewer during the pass, so each shared
       sequence keeps one cursor at its first free position, which only
       moves forward.
-    - A breadth-first pass reads each sequence once: after one scan every
-      node in it is free or has a layered partner.
+    - A breadth-first pass goes one layer at a time: the layer's unread
+      sequences, united, less the right nodes already reached, are the new
+      right nodes, and their partners the next layer. The layers do not
+      depend on the order of reading edges, so set operations read them.
     - The depth-first search reads a shared sequence through its
-      `_Candidates`.
+      `_Candidates`; their map of places is built only in a run that
+      augments.
 
     With all_layers off, a breadth-first pass stops after the first layer
     that reaches a free right node and saves the deeper ones: the matching
@@ -216,10 +221,7 @@ def _hopcroft_karp(
                 match_left[u] = v
                 match_right[v] = u
                 break
-    members: dict[int, list[tuple[int, int]]] = {}  # right node -> (shared sequence, position)
-    for key, seq in shared_by_id.items():
-        for pos, v in enumerate(seq):
-            members.setdefault(v, []).append((key, pos))
+    members: dict[int, list[tuple[int, int]]] | None = None  # right node -> (shared sequence, position)
 
     def neighbours(u: int) -> Iterator[int]:
         t = dist[u] + 1
@@ -251,39 +253,66 @@ def _hopcroft_karp(
                 if path:
                     path.pop()
 
-    while True:
+    while -1 in match_left:
         dist = [inf] * n_left
-        queue = deque()
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
+        layer = {u for u, v in enumerate(match_left) if v == -1}
+        for u in layer:
+            dist[u] = 0
         found = False
-        last = inf  # the deepest layer to scan
-        scanned: set[int] = set()
-        while queue:
-            u = queue.popleft()
-            if dist[u] > last:
-                break
-            for seq in adj[u]:
-                if id(seq) in scanned:
-                    continue
-                scanned.add(id(seq))
-                for v in seq:
-                    w = match_right[v]
-                    if w == -1:
-                        found = True
-                        if not all_layers:
-                            last = dist[u]
-                    elif dist[w] == inf:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
+        scanned: set[int] = set()  # the ids of the sequences read
+        reached: set[int] = set()  # the right nodes reached
+        t = 0
+        while layer and (all_layers or not found):
+            seqs = {id(seq): seq for u in layer for seq in adj[u]}
+            new: set[int] = set()
+            for key in seqs.keys() - scanned:
+                new.update(seqs[key])
+            scanned.update(seqs)
+            new -= reached
+            reached |= new
+            # a right node first reached now has a partner not yet layered
+            layer = set(map(match_right.__getitem__, new))
+            found = found or -1 in layer
+            layer.discard(-1)
+            t += 1
+            for w in layer:
+                dist[w] = t
         if not found:
             return match_left
+        if members is None:
+            members = {}
+            for key, seq in shared_by_id.items():
+                for pos, v in enumerate(seq):
+                    members.setdefault(v, []).append((key, pos))
         candidates = {key: _Candidates(seq, match_right, dist) for key, seq in shared_by_id.items()}
         for u in range(n_left):
             if match_left[u] == -1:
                 augment(u)
+    return match_left
+
+
+def _half(birth: float, death: float) -> float:
+    """(death - birth) / 2.0, or death / 2.0 - birth / 2.0 where the span overflows.
+
+    Halving first everywhere would round subnormal points differently.
+    """
+    h = (death - birth) / 2.0
+    return death / 2.0 - birth / 2.0 if h == math.inf else h
+
+
+def _halves(birth: np.ndarray, death: np.ndarray) -> np.ndarray:
+    """`_half` of every point."""
+    with np.errstate(over="ignore"):
+        h = (death - birth) / 2.0
+    over = h == math.inf
+    if over.any():
+        h[over] = death[over] / 2.0 - birth[over] / 2.0
+    return h
+
+
+def _coords(points: list[PersistencePoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The points' births and deaths as two arrays."""
+    return np.array([p[0] for p in points], dtype=float), np.array([p[1] for p in points], dtype=float)
 
 
 def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[float, list[MatchPair]]:
@@ -292,29 +321,36 @@ def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[
         return 0.0, []
     if not B or not A:
         (p,) = A or B
-        h = (p[1] - p[0]) / 2.0
+        h = _half(p[0], p[1])
         return h, [MatchPair(p, None, h) if A else MatchPair(None, p, h)]
     (a,), (b,) = A, B
     d = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-    h_a, h_b = (a[1] - a[0]) / 2.0, (b[1] - b[0]) / 2.0
+    h_a, h_b = _half(a[0], a[1]), _half(b[0], b[1])
     if d <= max(h_a, h_b):
         return d, [MatchPair(a, b, d)]
     return max(h_a, h_b), [MatchPair(a, None, h_a), MatchPair(None, b, h_b)]
 
 
 def _linf(birth_a, death_a, birth_b, death_b) -> np.ndarray:
-    """D between the points a and the points b, one row per a: the l-infinity distance."""
-    D = np.abs(np.subtract.outer(birth_a, birth_b))
-    np.maximum(D, np.abs(np.subtract.outer(death_a, death_b)), out=D)
-    return D
+    """D between the points a and the points b, one row per a: the l-infinity distance.
+
+    An entry that overflows to inf is above the search's cap, the largest half-persistence.
+    """
+    with np.errstate(over="ignore"):
+        D = np.subtract.outer(birth_a, birth_b)
+        E = np.subtract.outer(death_a, death_b)
+    np.abs(D, out=D)
+    np.abs(E, out=E)
+    return np.maximum(D, E, out=D)
 
 
 def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
     """Per point of x, D to the points of y (sorted by death) nearest in death: at least its row minimum."""
     k = np.searchsorted(death_y, death_x)
     cost = []
-    for j in (np.maximum(k - 1, 0), np.minimum(k, len(death_y) - 1)):
-        cost.append(np.maximum(np.abs(birth_x - birth_y[j]), np.abs(death_x - death_y[j])))
+    with np.errstate(over="ignore"):
+        for j in (np.maximum(k - 1, 0), np.minimum(k, len(death_y) - 1)):
+            cost.append(np.maximum(np.abs(birth_x - birth_y[j]), np.abs(death_x - death_y[j])))
     return np.minimum(*cost)
 
 
@@ -366,19 +402,17 @@ class _Class:
     """
 
     def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
-        # (birth, death) rows; a PersistencePoint is the tuple (birth, death, index)
-        a = np.array([p[:2] for p in A], dtype=float)
-        b = np.array([p[:2] for p in B], dtype=float)
-        self.order_a = np.argsort(a[:, 1], kind="stable")
-        self.order_b = np.argsort(b[:, 1], kind="stable")
-        self.birth_a, self.death_a = np.ascontiguousarray(a[self.order_a].T)
-        self.birth_b, self.death_b = np.ascontiguousarray(b.T)
-        self.sorted_birth_b, self.sorted_death_b = np.ascontiguousarray(b[self.order_b].T)
-        self.half_a = (self.death_a - self.birth_a) / 2.0
-        self.half_b = (self.death_b - self.birth_b) / 2.0
+        birth_a, death_a = _coords(A)
+        self.birth_b, self.death_b = _coords(B)
+        self.order_a = np.argsort(death_a, kind="stable")
+        self.order_b = np.argsort(self.death_b, kind="stable")
+        self.birth_a, self.death_a = birth_a[self.order_a], death_a[self.order_a]
+        self.sorted_birth_b, self.sorted_death_b = self.birth_b[self.order_b], self.death_b[self.order_b]
+        self.half_a = _halves(self.birth_a, self.death_a)
+        self.half_b = _halves(self.birth_b, self.death_b)
         # far enough past every rounding in `death - r` that a window never
         # drops an entry of D at most r
-        self.slack = max(np.abs(a).max(), np.abs(b).max()) * 2.0**-40
+        self.slack = max(np.abs(x).max() for x in (birth_a, death_a, self.birth_b, self.death_b)) * 2.0**-40
         # per side, each point's partner in the last matching found and its cost
         self.mate = (np.full(len(A), -1), np.full(len(B), -1))
         self.cost = (np.full(len(A), math.inf), np.full(len(B), math.inf))
@@ -391,11 +425,12 @@ class _Class:
         outs is given, each row's and column's entry in it is lowered to the
         smallest entry of D read in that row or column, and no entry is kept.
         """
-        reach = r * (1 + 2.0**-40) + self.slack
         starts = np.arange(0, len(self.death_a), _BLOCK)
         lasts = np.minimum(starts + _BLOCK, len(self.death_a)) - 1
-        lo = np.searchsorted(self.sorted_death_b, self.death_a[starts] - reach, "left")
-        hi = np.searchsorted(self.sorted_death_b, self.death_a[lasts] + reach, "right")
+        with np.errstate(over="ignore"):  # a window past the largest float is unbounded
+            reach = r * (1 + 2.0**-40) + self.slack
+            lo = np.searchsorted(self.sorted_death_b, self.death_a[starts] - reach, "left")
+            hi = np.searchsorted(self.sorted_death_b, self.death_a[lasts] + reach, "right")
         rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
         for s, l, h in zip(starts.tolist(), lo.tolist(), hi.tolist()):
             if l == h:
@@ -542,13 +577,21 @@ def _slot_pairs(
     return pairs
 
 
+def _dense_rows(within: np.ndarray) -> list[list[int]]:
+    """Each row's columns of the boolean matrix within, ascending."""
+    # a dense class has at most _DENSE_ENTRIES entries, so its rows skip `_row_lists`'
+    # shared ints, which cost 7% of the dense distance on `match` classes; on those
+    # classes the flat indices cost a third of the 2-D `nonzero`
+    n_rows, n_cols = within.shape
+    flat = within.ravel().nonzero()[0]
+    ends = flat.searchsorted(np.arange(1, n_rows + 1) * n_cols).tolist()
+    cols = (flat % n_cols).tolist()
+    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def _covers(within: np.ndarray) -> bool:
     """Whether some matching in the bipartite graph within covers every row."""
-    # the rows live for one probe, so they skip `_row_lists`' shared ints,
-    # which cost 7% of the dense distance on `match` classes
-    cols = within.nonzero()[1].tolist()
-    ends = within.sum(axis=1).cumsum().tolist()
-    adj = [(cols[start:end],) for start, end in zip([0, *ends], ends)]
+    adj = list(zip(_dense_rows(within)))  # rows of one sequence each
     return -1 not in _hopcroft_karp(adj, within.shape[1], all_layers=False)
 
 
@@ -556,10 +599,11 @@ class _Dense:
     """One class's finite points, with D held whole; each probe starts from an empty matching."""
 
     def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
-        birth_a, death_a = np.array([p[:2] for p in A], dtype=float).reshape(len(A), 2).T
-        birth_b, death_b = np.array([p[:2] for p in B], dtype=float).reshape(len(B), 2).T
-        self.D = _linf(birth_a, death_a, birth_b, death_b)
-        self.half_a, self.half_b = (death_a - birth_a) / 2.0, (death_b - birth_b) / 2.0
+        birth, death = _coords(A + B)
+        a, b = slice(len(A)), slice(len(A), None)
+        self.D = _linf(birth[a], death[a], birth[b], death[b])
+        half = _halves(birth, death)
+        self.half_a, self.half_b = half[a], half[b]
 
     def lower(self) -> float:
         """The largest cheapest way out of a single point: its nearest partner or the diagonal."""
@@ -581,8 +625,7 @@ class _Dense:
 
     def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
         """The rows of {D <= eps} in A's order, and both sides' half-persistences."""
-        rows = _row_lists(*(self.D <= eps).nonzero(), *self.D.shape)
-        return rows, self.half_a.tolist(), self.half_b.tolist()
+        return _dense_rows(self.D <= eps), self.half_a.tolist(), self.half_b.tolist()
 
 
 def _radius(c: _Dense | _Class) -> float:
@@ -595,7 +638,9 @@ def _radius(c: _Dense | _Class) -> float:
     if found is not None:
         return float(r)
     while found is None:
-        low, r = r, (min(r * _GROWTH, cap) if r > 0 else unit)  # low: the highest radius known infeasible
+        # low: the highest radius known infeasible. As a Python float, a step
+        # past the largest float gives inf without numpy's overflow warning.
+        low, r = r, (min(float(r) * _GROWTH, cap) if r > 0 else unit)
         found = c.probe(r)
     # the candidates in (low, r]; a feasible probe's own radius is one of them.
     # Repeated radii cost at most one more search step; np.unique would
@@ -639,7 +684,7 @@ def _by_class(D: PersistenceDiagram) -> dict[TopologicalIndex, tuple[list, list]
     """Each index class's finite and immortal points, in diagram order."""
     groups: dict[TopologicalIndex, tuple[list, list]] = {}
     for p in D.points:
-        groups.setdefault(p[2], ([], []))[math.isinf(p[1])].append(p)
+        (groups.get(p[2]) or groups.setdefault(p[2], ([], [])))[math.isinf(p[1])].append(p)
     return groups
 
 

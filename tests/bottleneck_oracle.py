@@ -70,7 +70,8 @@ def _linf(a: PersistencePoint, b: PersistencePoint) -> float:
 
 
 def _half_persistence(p: PersistencePoint) -> float:
-    return (p.death - p.birth) / 2.0
+    h = (p.death - p.birth) / 2.0
+    return p.death / 2.0 - p.birth / 2.0 if h == math.inf else h  # (death - birth) overflowed
 
 
 def _feasible(

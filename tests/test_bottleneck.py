@@ -119,6 +119,42 @@ class TestInfinitePoints:
         assert bottleneck_distance(D1, D2) == pytest.approx(0.3, abs=1e-15)
 
 
+@pytest.fixture(params=["dense", "windowed"])
+def route(request, monkeypatch):
+    """Both routes for every class with more than one point a side: the default budget, and 0."""
+    if request.param == "windowed":
+        monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
+    return request.param
+
+
+class TestOverflow:
+    """Finite points whose span death - birth overflows: finite distances, and no numpy warning."""
+
+    BIG = (-1e308, 1e308, K01)  # its half-persistence is 1e308, though its span overflows
+
+    def test_lone_point(self, route):
+        for D1, D2 in [(diag(self.BIG), diag()), (diag(), diag(self.BIG))]:
+            assert assert_same_as_oracle(D1, D2).distance == 1e308
+
+    def test_crowded_class(self, route):
+        D1, D2 = diag(*[self.BIG] * 3), diag(*[(0.0, 1.0, K01)] * 2)
+        assert assert_same_as_oracle(D1, D2).distance == 1e308
+        assert assert_same_as_oracle(D2, D1).distance == 1e308
+
+    def test_huge_coordinates(self, route):
+        # coordinates on a grid of 1e307 up to the largest float: spans, entries
+        # of D and the radius search's steps all overflow somewhere
+        rng = random.Random(308)
+
+        def point():
+            birth = rng.randint(-17, 16)
+            return birth * 1e307, rng.randint(birth + 1, 17) * 1e307, K01
+
+        for _ in range(150):
+            D1, D2 = (diag(*[point() for _ in range(rng.randint(0, 6))]) for _ in range(2))
+            assert math.isfinite(assert_same_as_oracle(D1, D2).distance)
+
+
 class TestWorkedPerturbation:
     def test_distance_equals_measured_matrix_distance(self, worked_matrix):
         Q = perturb(worked_matrix, PerturbationSpec(1, 2, 0.01))
@@ -391,6 +427,43 @@ def slot_graph(rng: random.Random, na: int, nb: int):
     return adj, [[v for seq in row for v in seq] for row in adj], (near_b, slots)
 
 
+def linf_matrix(D1, D2):
+    """D between the points of D1 and D2, one row per D1 point, and both sides' half-persistences."""
+    a, b = (np.array([(p.birth, p.death) for p in D.points]) for D in (D1, D2))
+    D = np.maximum(
+        np.abs(np.subtract.outer(a[:, 0], b[:, 0])), np.abs(np.subtract.outer(a[:, 1], b[:, 1]))
+    )
+    return D, (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+
+
+def optimum_slot_graph(D1, D2):
+    """The reported matching's graph of a one-class pair at its optimum, built as `_slot_pairs` builds it.
+
+    Returns the library's rows, the oracle's flat rows and the shared sequences.
+    """
+    D, half_a, half_b = linf_matrix(D1, D2)
+    eps = bottleneck_distance(D1, D2)
+    na, nb = D.shape
+    slots = range(nb, nb + na)
+    near_b = [j for j in range(nb) if half_b[j] <= eps]
+    rows = [np.flatnonzero(row).tolist() for row in D <= eps]
+    adj = [(row, slots) if h <= eps else (row,) for row, h in zip(rows, half_a)]
+    adj.extend([(near_b, slots)] * nb)
+    return adj, [[v for seq in row for v in seq] for row in adj], (near_b, slots)
+
+
+def free_after_greedy(flat, n_right):
+    """The left nodes still free after each left node in turn takes the first free node of its row."""
+    taken, free = [False] * n_right, 0
+    for row in flat:
+        v = next((v for v in row if not taken[v]), None)
+        if v is None:
+            free += 1
+        else:
+            taken[v] = True
+    return free
+
+
 def assert_matching(adj, match_left):
     """match_left pairs each left node with a neighbour, and no right node twice."""
     taken = [v for v in match_left if v != -1]
@@ -453,6 +526,45 @@ class TestHopcroftKarpAgainstOracle:
             assert_matching(adj, result)
             expected = oracle_hopcroft_karp(flat, n_right)
             assert sum(v != -1 for v in result) == sum(v != -1 for v in expected)
+
+
+class TestHopcroftKarpAtMatchScale:
+    """The same routine on the graphs of `match`-sized pairs: 100-200 points a side in one class."""
+
+    PAIRS = [(seed, points, near)
+             for seed, points in enumerate((100, 150, 200, 200)) for near in (True, False)]
+
+    def test_slot_form_at_the_optimum(self):
+        free = []
+        for seed, points, near in self.PAIRS:
+            adj, flat, shared = optimum_slot_graph(*synthetic_pair(seed, points, near))
+            n_right = len(adj)
+            free.append(free_after_greedy(flat, n_right))
+            assert _hopcroft_karp(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
+        # the greedy pass leaves some graphs complete and some with free nodes
+        # for the breadth-first phases
+        assert 0 in free and max(free) >= 1
+
+    def test_one_sided_checks(self):
+        # as `_covers` calls it: each side's far points into the other side,
+        # from an empty matching with the first-layer cut, at the optimum and
+        # below it
+        free = []
+        for seed, points, near in self.PAIRS:
+            D1, D2 = synthetic_pair(seed, points, near)
+            D, half_a, half_b = linf_matrix(D1, D2)
+            eps = bottleneck_distance(D1, D2)
+            for r in (eps, eps * 0.9, eps * 0.5):
+                for within, half in ((D <= r, half_a), ((D <= r).T, half_b)):
+                    rows = [np.flatnonzero(row).tolist() for row in within[half > r]]
+                    n_right = within.shape[1]
+                    free.append(free_after_greedy(rows, n_right))
+                    adj = [(row,) for row in rows]
+                    result = _hopcroft_karp(adj, n_right, all_layers=False)
+                    assert_matching(adj, result)
+                    expected = oracle_hopcroft_karp(rows, n_right)
+                    assert sum(v != -1 for v in result) == sum(v != -1 for v in expected)
+        assert 0 in free and max(free) >= 1
 
 
 def traced_peak(f, *args):

@@ -139,6 +139,17 @@ class TestBottleneck:
         assert code == 0
         assert repr(json.loads(out)["distance"]) == "0.023"
 
+    def test_overflowing_span_has_a_finite_distance(self, capsys, tmp_path):
+        # death - birth overflows, yet the point's way to the diagonal costs 1e308
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"grid": [0.0], "points": [{"birth": -1e308, "death": 1e308, "index": [0, 1]}]}))
+        b.write_text(json.dumps({"grid": [0.0], "points": []}))
+        code, out, _ = run(capsys, "bottleneck", str(a), str(b))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["distance"] == 1e308
+        assert [(m["pair"], m["cost"]) for m in obj["matching"]] == [(["a0", "diag"], 1e308)]
+
     def test_duplicate_points_get_their_own_ids(self, capsys, tmp_path):
         point = {"birth": 0.0, "death": 1.0, "index": [0, 0]}
         twice, once = tmp_path / "twice.json", tmp_path / "once.json"
