@@ -1,13 +1,14 @@
-"""Print the README's scale table: `run_filtration` plus `build_diagram` on `random_chain(n, 0.7, seed=1)`.
+"""Print the README's scale table: `run_filtration` and `build_diagram` on `random_chain(n, 0.7, seed=1)`.
 
 Usage, from the repository root:
 
-    python3 scripts/scale_table.py
+    python3 scripts/scale_table.py [N ...]
 
-Each n in SIZES runs in a fresh Python process, so its peak RSS is that of a
-process that built one chain and timed the two calls REPEATS times, and no
-n inherits the heap of another. A row gives the grid values, the median time
-of the two calls and the peak RSS of the whole process.
+The sizes default to 100 200 400. Each n runs in a fresh Python process, so
+its peak RSS is that of a process that built one chain and timed the two
+calls REPEATS times, and no n inherits the heap of another. A row gives the
+grid values, the median time of each call and the peak RSS of the whole
+process.
 """
 
 from __future__ import annotations
@@ -35,28 +36,40 @@ def measure(n: int) -> dict:
     from markov_morse import RandomChainSpec, build_diagram, random_chain, run_filtration
 
     P = random_chain(RandomChainSpec(n, DENSITY, SEED))
-    times = []
+    filtration, diagram = [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
         F = run_filtration(P)
+        middle = time.perf_counter()
         D = build_diagram(F)
-        times.append(time.perf_counter() - start)
+        filtration.append(middle - start)
+        diagram.append(time.perf_counter() - middle)
         grid_values = len(F.grid)
         del F, D  # the next run starts from the same heap
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
-    return {"n": n, "grid_values": grid_values, "seconds": statistics.median(times), "peak_mb": peak_mb}
+    return {
+        "n": n,
+        "grid_values": grid_values,
+        "filtration_s": statistics.median(filtration),
+        "diagram_s": statistics.median(diagram),
+        "peak_mb": peak_mb,
+    }
 
 
-def main() -> None:
+def main(argv: list[str]) -> None:
+    sizes = [int(a) for a in argv] or SIZES
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")])}
-    print("| n | grid values | time | peak RSS |")
-    print("|---|---|---|---|")
-    for n in SIZES:
+    print("| n | grid values | `run_filtration` | `build_diagram` | peak RSS |")
+    print("|---|---|---|---|---|")
+    for n in sizes:
         code = f"import json, scale_table; print(json.dumps(scale_table.measure({n})))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         row = json.loads(out.stdout)
-        print(f"| {n} | {row['grid_values']} | {row['seconds']:.2g} s | {row['peak_mb']:.0f} MB |")
+        print(
+            f"| {n} | {row['grid_values']} | {row['filtration_s']:.2g} s | {row['diagram_s']:.2g} s "
+            f"| {row['peak_mb']:.0f} MB |"
+        )
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .markov import TransitionMatrix
 
@@ -74,11 +76,6 @@ def format_cell(X: StateComplex, cell: int, states: tuple[str, ...]) -> str:
 
 def build_complex(P: "TransitionMatrix") -> StateComplex:
     """Vertices N1..Nn; edge {i,j} iff p_ij > 0 or p_ji > 0 (i != j)."""
-    n = P.n
-    edges = tuple(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if P.prob(i, j) > 0.0 or P.prob(j, i) > 0.0
-    )
-    return StateComplex(n, edges)
+    positive = P.entries > 0.0
+    i, j = np.nonzero(np.triu(positive | positive.T, 1))  # row-major, so lexicographic
+    return StateComplex(P.n, tuple(zip((i + 1).tolist(), (j + 1).tolist())))

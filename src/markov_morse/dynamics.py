@@ -19,6 +19,16 @@ the multivectors therefore gives the M-graph, and the cell digraph has the
 same SCCs: the Morse sets. A v -> e arc never leaves its SCC, so the arcs
 of the condensation DAG are the incidences e -> v with v outside e's set:
 the sets below a Morse set are those that meet its mouth.
+
+The SCCs are found on the n states alone. A path v -> e -> w between two
+vertices exists exactly when p_vw <= gamma, and an edge cell is entered
+only from a vertex. So two vertices share an SCC of the cell digraph iff
+they share one of the state digraph, with an arc v -> w whenever the edge
+{v, w} exists and p_vw <= gamma. An edge e joins the SCC of each endpoint
+v with an arc v -> e, as e -> v exists always. If both entries are <=
+gamma, both endpoints lie in one SCC and e with them. If neither is, e has
+no arc in and is a singleton set. Vertex ids are below edge ids, so a set
+is still labelled by its smallest cell.
 """
 
 from __future__ import annotations
@@ -96,18 +106,34 @@ def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
 def morse_sets(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[MorseSet, ...]:
     """The Morse sets at threshold gamma: the SCCs of the cell digraph, sorted by label.
 
-    Singleton SCCs count, so the Morse sets partition all cells of X.
+    Singleton SCCs count, so the Morse sets partition all cells of X. Tarjan
+    runs on the state digraph; each edge then joins its tail's SCC or stays
+    alone (see the module docstring).
     """
     check_gamma(gamma)
     rows = P.entries.tolist()
-    adj: list[list[int]] = [[] for _ in X.cells()]
+    adj: list[list[int]] = [[] for _ in range(X.n)]  # the state digraph
+    attached: list[tuple[int, int]] = []  # (v, e) for one arc v -> e into each edge that has one
+    singles: list[int] = []  # the edges with no arc in
     for e, (i, j) in enumerate(X.edges, start=X.n):
+        tail = None
         for v, w in ((i - 1, j - 1), (j - 1, i - 1)):  # cells of states i, j
-            adj[e].append(v)
             if rows[v][w] <= gamma:
-                adj[v].append(e)
-    sets = [MorseSet(min(comp), frozenset(comp)) for comp in _tarjan_scc(adj)]
-    return tuple(sorted(sets, key=lambda m: m.label))
+                adj[v].append(w)
+                tail = v
+        if tail is None:
+            singles.append(e)
+        else:
+            attached.append((tail, e))
+    comps = _tarjan_scc(adj)
+    comp_of = [0] * X.n
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    for v, e in attached:
+        comps[comp_of[v]].append(e)
+    sets = sorted((MorseSet(min(comp), frozenset(comp)) for comp in comps), key=lambda m: m.label)
+    return (*sets, *(MorseSet(e, frozenset((e,))) for e in singles))  # edge labels exceed vertex labels
 
 
 def _reach(start: int, arcs: dict[int, set[int]]) -> set[int]:

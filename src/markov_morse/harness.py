@@ -95,11 +95,12 @@ def _sample_perturbation(
     the generic, tie-free regime is sampled; ties get their own tests.
     """
     n = P.n
+    rows = P.entries.tolist()
     candidates = [
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if i != j and P.prob(i, j) > 0.0 and (i, j) not in forbid
+        if i != j and rows[i - 1][j - 1] > 0.0 and (i, j) not in forbid
     ]
     if not candidates:
         return None
@@ -108,14 +109,14 @@ def _sample_perturbation(
     high = 0.99 * delta_cap if strict else delta_cap
     for k in order:
         i, j = candidates[int(k)]
-        value = P.prob(i, j)
+        value = rows[i - 1][j - 1]
         magnitude = float(rng.uniform(0.01 * delta_cap, high))
         for sign in rng.permutation([1.0, -1.0]):
             delta = float(sign) * magnitude
             new_val = value + delta
             if not 0.0 < new_val <= 1.0:
                 continue
-            if not 0.0 <= P.prob(i, i) - delta <= 1.0:
+            if not 0.0 <= rows[i - 1][i - 1] - delta <= 1.0:
                 continue
             if new_val in others:
                 continue

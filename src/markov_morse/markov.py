@@ -254,8 +254,7 @@ def serialize_matrix(P: TransitionMatrix, fmt: str = "json") -> str:
 def threshold_grid(P: TransitionMatrix) -> ThresholdGrid:
     """0 followed by the sorted distinct positive off-diagonal entries, verbatim."""
     off = P.entries[~np.eye(P.n, dtype=bool)]
-    positive = sorted({float(v) for v in off if v > 0.0})
-    return ThresholdGrid((0.0, *positive))
+    return ThresholdGrid((0.0, *np.unique(off[off > 0.0]).tolist()))
 
 
 def perturb(P: TransitionMatrix, spec: PerturbationSpec) -> TransitionMatrix:

@@ -3,12 +3,15 @@
 Raising gamma past an entry p_ij merges vertex i into the multivector of an
 incident edge e, so the fields over the grid form a coarsening chain and
 each Morse set at one stage sits inside exactly one Morse set at the next.
-`run_filtration` sweeps the grid once. It starts from `morse_sets` at the
-first grid value; then the directed entries are sorted, and at each grid
-value every entry <= gamma is applied before the stage is recorded. Entries
-at or below the first grid value are already inside a Morse set and change
-nothing. Every multivector lies inside one Morse set, so only the sets are
-kept; the field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
+`run_filtration` makes one pass over the sorted positive directed entries,
+starting from `morse_sets` at gamma 0; a zero entry is already inside a
+Morse set and changes nothing. Every positive off-diagonal entry lies on an
+edge, so the grid is 0 followed by the distinct values of that sorted list,
+the same as `threshold_grid`, and the pass reads it off as it goes. All
+entries of one value are applied before any birth at that value is
+recorded, and a value at which no set is born records nothing. Every
+multivector lies inside one Morse set, so only the sets are kept; the
+field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
 
 Applying the entry of vertex v and edge e adds the arc v -> e to the cell
 digraph (see `dynamics`), and the arc e -> v exists already. So the sets
@@ -39,12 +42,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
 from .dynamics import MorseSet, _reach, morse_sets
 from .homology import TopologicalIndex, _counts, index_from_counts
-from .markov import ThresholdGrid, TransitionMatrix, _clip, threshold_grid
+from .markov import ThresholdGrid, TransitionMatrix, _clip
 
 
 @dataclass(frozen=True)
@@ -218,33 +222,27 @@ class _Sweep:
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     """The Morse sets at P's first threshold and the log of every set born above it."""
-    grid = threshold_grid(P)
     X = build_complex(P)
     rows = P.entries.tolist()
     entries = sorted(
-        (rows[a][b], a, e)
+        (p, a, e)
         for e, (i, j) in enumerate(X.edges, start=X.n)
         for a, b in ((i - 1, j - 1), (j - 1, i - 1))  # cells of states i, j
+        if (p := rows[a][b]) > 0.0
     )
-    base = morse_sets(X, P, grid[0])
+    base = morse_sets(X, P, 0.0)
     sweep = _Sweep(X, base)
-    births = [Birth(grid[0], m.label, (), sweep.part[m.label].index()) for m in base]
-    k = 0
-    for gamma in grid.values[1:]:
-        while k < len(entries) and entries[k][0] <= gamma:
-            _, v, e = entries[k]
-            sweep.join(v, e)
-            k += 1
-        births += sweep.record(gamma)
-    return FiltrationResult(grid, X, base, tuple(births))
-
-
-class _Track(NamedTuple):
-    """The live lineage of one Morse set during diagram extraction."""
-
-    birth: float
-    birth_label: int  # label of the Morse set at birth; tie-break key
-    index: TopologicalIndex
+    births = [Birth(0.0, m.label, (), sweep.part[m.label].index()) for m in base]
+    values = [0.0]
+    for gamma, v, e in entries:
+        if gamma > values[-1]:  # a new grid value; every entry of the last one is applied
+            if sweep.born:
+                births += sweep.record(values[-1])
+            values.append(gamma)
+        sweep.join(v, e)
+    if sweep.born:
+        births += sweep.record(values[-1])
+    return FiltrationResult(ThresholdGrid(tuple(values)), X, base, tuple(births))
 
 
 class PersistencePoint(tuple):
@@ -293,7 +291,7 @@ class PersistenceDiagram:
     grid: ThresholdGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points, key=lambda p: (p.index, p.birth, p.death))))
+        object.__setattr__(self, "points", tuple(sorted(self.points, key=itemgetter(2, 0, 1))))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -310,23 +308,23 @@ def build_diagram(F: FiltrationResult) -> PersistenceDiagram:
     Only the birth log is read, never the replayed stages.
     """
     points: list[PersistencePoint] = []
-    track_of: dict[int, _Track] = {}
-    for b in F.births:
+    track_of: dict[int, tuple[float, int, TopologicalIndex]] = {}  # label -> (birth, birth label, index)
+    for gamma, label, parts, index in F.births:
         matching = []
-        for t in map(track_of.pop, b.parts):
-            if t.index != b.index:  # index-change death, before any merge
-                points.append(PersistencePoint(t.birth, b.gamma, t.index))
+        for t in map(track_of.pop, parts):
+            if t[2] != index:  # index-change death, before any merge
+                points.append(PersistencePoint(t[0], gamma, t[2]))
             else:
                 matching.append(t)
         if matching:
-            matching.sort(key=lambda t: (t.birth, t.birth_label))
+            matching.sort()  # by (birth, birth label), which no two tracks share
             for t in matching[1:]:  # merge deaths
-                points.append(PersistencePoint(t.birth, b.gamma, t.index))
-            track_of[b.label] = matching[0]
+                points.append(PersistencePoint(t[0], gamma, t[2]))
+            track_of[label] = matching[0]
         else:
-            track_of[b.label] = _Track(b.gamma, b.label, b.index)
-    for t in track_of.values():
-        points.append(PersistencePoint(t.birth, math.inf, t.index))
+            track_of[label] = (gamma, label, index)
+    for birth, _, index in track_of.values():
+        points.append(PersistencePoint(birth, math.inf, index))
     return PersistenceDiagram(tuple(points), F.grid)
 
 

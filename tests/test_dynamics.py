@@ -191,6 +191,54 @@ class TestMorseSets:
             assert m.label == min(m.cells)
 
 
+def cell_sets(X, *groups):
+    """Cell sets named by states: an int i is vertex Ni, a pair (i, j) the edge Ni-Nj."""
+
+    def cell(c):
+        return X.n + X.edges.index(c) if isinstance(c, tuple) else X.vertex(c)
+
+    return {frozenset(map(cell, g)) for g in groups}
+
+
+class TestStateDigraph:
+    """`morse_sets` runs Tarjan on the states; each edge joins the SCC of an endpoint it may be entered from.
+
+    Every case is checked against the oracle's M-graph at every probe gamma,
+    and the sets at one gamma are spelled out.
+    """
+
+    @pytest.mark.parametrize(
+        "rows, gamma, expected",
+        [
+            pytest.param(  # p12 = p23 = p31 = 0: the states 1 -> 2 -> 3 -> 1 form a cycle at gamma 0
+                [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+                0.0,
+                [(1, 2, 3, (1, 2), (1, 3), (2, 3))],
+                id="zero-entry-3-cycle",
+            ),
+            pytest.param(
+                [[0.6, 0.4], [0.3, 0.7]], 0.4, [(1, 2, (1, 2))], id="both-entries-at-or-below"
+            ),
+            pytest.param(
+                [[0.6, 0.4], [0.3, 0.7]], 0.2, [(1,), (2,), ((1, 2),)], id="both-entries-above"
+            ),
+            pytest.param(  # p32 <= gamma < p23: the edge goes with state 3 alone
+                [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]],
+                0.3,
+                [(1,), (2,), (3, (2, 3))],
+                id="isolated-state-and-one-sided-edge",
+            ),
+        ],
+    )
+    def test_explicit(self, rows, gamma, expected):
+        from markov_morse import TransitionMatrix
+
+        P = TransitionMatrix(rows)
+        X = build_complex(P)
+        assert {m.cells for m in morse_sets(X, P, gamma)} == cell_sets(X, *expected)
+        assert_matches_mgraph_oracle(P)
+
+
 class TestMorseOrder:
     def test_base_stage_order(self, worked_matrix, worked_complex):
         order = morse_order(worked_complex, morse_sets(worked_complex, worked_matrix, 0.0))

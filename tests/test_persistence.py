@@ -23,6 +23,7 @@ from markov_morse.markov import ThresholdGrid
 from markov_morse.persistence import PersistencePoint
 
 from conftest import E, V
+from test_event_sweep import weight_rows, weighted_chain
 
 INF = math.inf
 
@@ -72,6 +73,39 @@ class TestRunFiltration:
         F = run_filtration(TransitionMatrix(np.eye(4)))
         assert len(F.stages) == 1
         assert len(F.stages[0].morse_sets) == 4
+
+
+def assert_sweep_grid_is_threshold_grid(P):
+    """The grid the sweep reads off its sorted entries is `threshold_grid(P)`, bit for bit."""
+    swept, direct = run_filtration(P).grid.values, threshold_grid(P).values
+    assert list(map(float.hex, swept)) == list(map(float.hex, direct))
+
+
+class TestSweepGrid:
+    """`run_filtration` reads the grid off its sorted entries; `threshold_grid` reads it off the matrix."""
+
+    @pytest.mark.parametrize(
+        "rows, grid",
+        [
+            pytest.param([[1.0]], [0.0], id="one-state"),
+            pytest.param([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0], id="identity-no-edges"),
+            pytest.param(
+                [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], [0.0, 0.25], id="ties-across-rows"
+            ),
+            pytest.param([[1.0, -0.0], [0.5, 0.5]], [0.0, 0.5], id="negative-zero"),
+            pytest.param([[1.0, 5e-324], [0.5, 0.5]], [0.0, 5e-324, 0.5], id="subnormal"),
+        ],
+    )
+    def test_explicit(self, rows, grid):
+        P = TransitionMatrix(rows)
+        assert_sweep_grid_is_threshold_grid(P)
+        assert list(map(float.hex, threshold_grid(P))) == list(map(float.hex, grid))
+
+    @settings(deadline=None, max_examples=150)
+    @given(weight_rows)
+    def test_property_weighted_chains(self, weights):
+        # small integer weights: ties and zero entries are the common case
+        assert_sweep_grid_is_threshold_grid(weighted_chain(weights))
 
 
 class TestContainmentMap:
