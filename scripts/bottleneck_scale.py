@@ -15,7 +15,9 @@ are built, before the call.
 
 The chain pairs are `random_chain(n, 0.7, seed=1)` against its first row-1
 edit that changes a finite point of the diagram: `PerturbationSpec(1, j,
-+-0.005)` for the smallest j, + tried before -. The dense pair is two
++-0.005)` for the smallest j, + tried before -, and where no such edit
+changes one, the same with +-0.0005: at n=800 every row-1 entry is below
+0.005, so no edit of 0.005 is valid. The dense pair is two
 independently drawn diagrams of 2000 points in one class (`independent_pair`),
 where the optimum graph {D <= eps} is itself dense.
 """
@@ -29,31 +31,32 @@ import subprocess
 import sys
 from pathlib import Path
 
-PAIRS = ("n100", "n200", "n400", "dense2000")
+PAIRS = ("n100", "n200", "n400", "n800", "dense2000")
 FUNCTIONS = ("bottleneck_distance", "bottleneck_matching")
 DENSITY = 0.7
 SEED = 1
-STEP = 0.005
+STEPS = (0.005, 0.0005)
 REPEATS = 3
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def first_edit(mm, P):
-    """The diagram pair of P and its first row-1 edit of +-STEP that changes a finite point."""
+    """The diagram pair of P and its first row-1 edit that changes a finite point: by +-STEPS[0], else +-STEPS[1]."""
     from markov_morse.markov import MatrixValidationError
 
     D = mm.build_diagram(mm.run_filtration(P))
     finite = sorted(p for p in D.points if p.death < float("inf"))
-    for j in range(2, P.n + 1):
-        for delta in (STEP, -STEP):
-            try:
-                Q = mm.perturb(P, mm.PerturbationSpec(1, j, delta))
-            except MatrixValidationError:
-                continue
-            E = mm.build_diagram(mm.run_filtration(Q))
-            if sorted(p for p in E.points if p.death < float("inf")) != finite:
-                return D, E
+    for step in STEPS:
+        for j in range(2, P.n + 1):
+            for delta in (step, -step):
+                try:
+                    Q = mm.perturb(P, mm.PerturbationSpec(1, j, delta))
+                except MatrixValidationError:
+                    continue
+                E = mm.build_diagram(mm.run_filtration(Q))
+                if sorted(p for p in E.points if p.death < float("inf")) != finite:
+                    return D, E
     raise ValueError("no row-1 edit changes a finite point")
 
 

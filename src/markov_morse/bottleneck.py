@@ -6,7 +6,7 @@ point inherits its class. Infinite points pair off sorted by birth and any
 count mismatch makes the class, and the whole distance, infinite. The
 overall distance is the maximum over classes.
 
-Per class, the finite points A and B take one of three routes, by size:
+Per class, the finite points A and B take one of four routes:
 
 - At most one point a side: a closed form in plain Python. With d the
   l-infinity distance and h_a, h_b the half-persistences (the cost of
@@ -14,56 +14,46 @@ Per class, the finite points A and B take one of three routes, by size:
   pair (a, b) when d <= max(h_a, h_b) and by both points going to the
   diagonal otherwise. A lone point costs its own h.
 - len(A) * len(B) at most _DENSE_ENTRIES (2**16): the dense route,
-  `_Dense`. D is computed once and held whole, and each probe runs the two
-  one-sided checks below from an empty matching.
-- Otherwise the windowed route, `_Class`: D is read in windows and never
-  held whole. Both sides are sorted by death. An entry D_ij <= r needs
-  |death_i - death_j| <= r, so a block of rows meets such entries only in
-  one window of the other side's deaths. `_Class.edges(r)` reads D in blocks
-  of _BLOCK rows within those windows and keeps the entries at most r, so
-  memory is linear in points plus those entries.
-- The radius, one search for both routes. The optimum is the smallest
-  feasible candidate radius: an entry of D or a half-persistence. No radius
-  below the largest cheapest way out of a single point (its nearest partner
-  or the diagonal) is feasible, and that bound is itself a candidate, probed
-  first. The dense route reads it off D's row and column minima; on the
-  windowed route each point's cost to its nearest partners in death bounds
-  its way out, so one pass of row and column minima over the windows at the
-  largest such bound gives it exactly. An exponential search from it,
-  capped by the largest half-persistence (which is always feasible), finds
-  the highest infeasible and the lowest feasible radius. Only the
-  candidates between the two are sorted, and a binary search over them
-  finds the smallest feasible one.
+  `_Dense`. D is computed once and held whole.
+- Otherwise, when some points differ in birth, the windowed route,
+  `_Class`: D is read in windows and never held whole. Both sides are
+  sorted by death. An entry D_ij <= r needs |death_i - death_j| <= r, so a
+  block of rows meets such entries only in one window of the other side's
+  deaths. `_Class.edges(r)` reads D in blocks of _BLOCK rows within those
+  windows and keeps the entries at most r, so memory is linear in points
+  plus those entries.
+- Otherwise every point has one birth, and the line route, `_Line`, tests
+  a radius by two greedy passes over the sorted deaths; see `_Line`. The
+  large classes of the pipeline's diagrams take it: all their points are
+  born at 0.0.
+- The radius, one search for the last three routes. The optimum is the
+  smallest feasible candidate radius: an entry of D or a half-persistence.
+  No radius below the largest cheapest way out of a single point (its
+  nearest partner or the diagonal) is feasible, and that bound is itself a
+  candidate, probed first. The dense route reads it off D's row and column
+  minima; on the other two each point's cost to its nearest partners in
+  death bounds its way out, so one pass of row and column minima over the
+  windows at the largest such bound gives it exactly. An exponential search
+  from it, capped by the largest half-persistence (which is always
+  feasible), finds the highest infeasible and the lowest feasible radius.
+  Only the candidates between the two are sorted, and a binary search over
+  them finds the smallest feasible one.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
   exists iff some matching in the graph {D <= eps} covers every far point
   (half-persistence > eps) of both sides, since the free slot-to-slot pairs
   absorb the rest. By Mendelsohn-Dulmage that splits into two one-sided
   checks: A's far points match into B, and B's far points match into A.
-  The checks' breadth-first passes stop at the first layer that reaches a
-  free node, which finds a matching as large in fewer steps. On the
-  windowed route each check starts from the last matching it found, less
-  the pairs that cost more than the radius: whatever radius it was found
-  at, that is a matching of this graph; the first check of a search starts
-  empty. The rows are read out of the edge arrays only when the search
-  visits them. A feasible check also returns the radius of the matching it
-  found, at most eps, which moves the search's upper end down to it.
+  The dense and the windowed route run each check as a Hopcroft-Karp run
+  whose breadth-first passes stop at the first layer that reaches a free
+  node, which finds a matching as large in fewer steps.
 - The reported matching, in `bottleneck_matching` only. At the optimum the
   graph with diagonal slots is built once, rows in the order A's points then
   B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
   fixes which pairs are reported and in what order; this run keeps every
   breadth-first layer, as the oracle's does. Slots are shared sequences, so
-  no slot row is copied; a windowed class's rows also share one int object
-  per B point. `bottleneck_distance` stops at the radius.
-- Hopcroft-Karp from an empty matching, in the reported matching, in every
-  dense probe and in a windowed search's first check, runs its first phase
-  as one greedy pass: each left node in order takes the first free right
-  node of its row. In that phase every layer is 0, so the textbook
-  depth-first search can take only a free neighbour, and the pass makes the
-  same matching. A warm-started check keeps its breadth-first start:
-  extending the warm start greedily took `bottleneck_distance` on the n=200
-  chain pair from 0.7 s to 1.5 s in a trial. The later phases' breadth-first
-  passes run one layer at a time on set operations, not edge by edge.
+  no slot row is copied; a windowed or line class's rows also share one int
+  object per B point. `bottleneck_distance` stops at the radius.
 - Where death - birth overflows, a half-persistence is death / 2.0 -
   birth / 2.0, so finite diagrams keep a finite distance.
 
@@ -152,16 +142,14 @@ class _Candidates:
 def _hopcroft_karp(
     adj: list[tuple[Sequence[int], ...]],
     n_right: int,
-    match_left: list[int] | None = None,
     shared: tuple[Sequence[int], ...] = (),
     all_layers: bool = True,
 ) -> list[int]:
     """Maximum matching; adj[u] holds left node u's right neighbours in scan order.
 
     A row is a tuple of sequences, and rows may share the sequence objects
-    listed in shared. The search starts from match_left (right partner of
-    each left node, -1 if unmatched), empty by default, and returns the
-    final match_left.
+    listed in shared. Returns match_left: the right partner of each left
+    node, -1 if unmatched.
 
     The result is the textbook traversal's: breadth-first layers from the
     free left nodes, then from each free left node in turn a depth-first
@@ -170,8 +158,8 @@ def _hopcroft_karp(
     neighbours dead for the phase. Three things only skip work that has no
     effect:
 
-    - From an empty matching the first phase is one greedy pass: each left
-      node in turn takes the first free right node of its row. Every left
+    - The first phase is one greedy pass: each left node in turn takes the
+      first free right node of its row. Every left
       node is at layer 0 in that phase and so is every partner, so the
       depth-first search can only take a free neighbour, which is what the
       pass does. Free nodes only get fewer during the pass, so each shared
@@ -187,40 +175,35 @@ def _hopcroft_karp(
 
     With all_layers off, a breadth-first pass stops after the first layer
     that reaches a free right node and saves the deeper ones: the matching
-    is as large, but which one it is may differ. A warm start keeps its
-    breadth-first phases.
+    is as large, but which one it is may differ.
     """
     inf = math.inf
     n_left = len(adj)
-    match_left = [-1] * n_left if match_left is None else match_left
+    match_left = [-1] * n_left
     match_right = [-1] * n_right
-    for u, v in enumerate(match_left):
-        if v != -1:
-            match_right[v] = u
     shared_by_id = {id(seq): seq for seq in shared}
-    if all(v == -1 for v in match_left):
-        # the first phase: each left node takes the first free node of its row
-        cursor = dict.fromkeys(shared_by_id, 0)  # shared sequence -> its first position that may be free
-        for u, row in enumerate(adj):
-            for seq in row:
-                pos = cursor.get(id(seq))
-                if pos is None:
-                    for v in seq:
-                        if match_right[v] == -1:
-                            break
-                    else:
-                        continue
+    # the first phase: each left node takes the first free node of its row
+    cursor = dict.fromkeys(shared_by_id, 0)  # shared sequence -> its first position that may be free
+    for u, row in enumerate(adj):
+        for seq in row:
+            pos = cursor.get(id(seq))
+            if pos is None:
+                for v in seq:
+                    if match_right[v] == -1:
+                        break
                 else:
-                    n = len(seq)
-                    while pos < n and match_right[seq[pos]] != -1:
-                        pos += 1
-                    cursor[id(seq)] = pos
-                    if pos == n:
-                        continue
-                    v = seq[pos]
-                match_left[u] = v
-                match_right[v] = u
-                break
+                    continue
+            else:
+                n = len(seq)
+                while pos < n and match_right[seq[pos]] != -1:
+                    pos += 1
+                cursor[id(seq)] = pos
+                if pos == n:
+                    continue
+                v = seq[pos]
+            match_left[u] = v
+            match_right[v] = u
+            break
     members: dict[int, list[tuple[int, int]]] | None = None  # right node -> (shared sequence, position)
 
     def neighbours(u: int) -> Iterator[int]:
@@ -355,7 +338,7 @@ def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
 
 
 class _Edges:
-    """The entries of D at most some radius: row (A's position by death), column (B's index) and value.
+    """The entries of D at most some radius: row and column (A's and B's positions by death) and value.
 
     Rows ascend, and within a row the columns ascend.
     """
@@ -370,52 +353,30 @@ class _Edges:
             return self.row[keep], self.col[keep]
         if self._by_col is None:
             self._by_col = np.argsort(self.col, kind="stable").astype(np.int32)
-        kept = self._by_col[keep[self._by_col]]
+        kept = self._by_col[np.take(keep, self._by_col)]  # `take` reads an int32 index faster than []
         return self.col[kept], self.row[kept]
-
-
-class _Rows(Sequence):
-    """Adjacency rows (other[starts[u]:ends[u]],), each read out of the array when first asked for.
-
-    A probe's search from a warm start visits few rows.
-    """
-
-    def __init__(self, other: np.ndarray, starts: list[int], ends: list[int]):
-        self.other, self.starts, self.ends = other, starts, ends
-        self.read: dict[int, tuple[list[int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def __getitem__(self, u: int) -> tuple[list[int]]:
-        row = self.read.get(u)
-        if row is None:
-            row = self.read[u] = (self.other[self.starts[u] : self.ends[u]].tolist(),)
-        return row
 
 
 class _Class:
     """One class's finite points, with D read in windows.
 
-    A's points are held in death order, and B's in the order given; B's
-    order by death only locates the windows.
+    Both sides are held in death order. So in each one-sided check, the
+    greedy first phase takes, per far point in death order, its free
+    partner lowest in death; on a near pair of diagrams that leaves few far
+    points free for the later phases.
     """
 
     def __init__(self, A: list[PersistencePoint], B: list[PersistencePoint]):
-        birth_a, death_a = _coords(A)
-        self.birth_b, self.death_b = _coords(B)
+        (birth_a, death_a), (birth_b, death_b) = _coords(A), _coords(B)
         self.order_a = np.argsort(death_a, kind="stable")
-        self.order_b = np.argsort(self.death_b, kind="stable")
+        self.order_b = np.argsort(death_b, kind="stable")
         self.birth_a, self.death_a = birth_a[self.order_a], death_a[self.order_a]
-        self.sorted_birth_b, self.sorted_death_b = self.birth_b[self.order_b], self.death_b[self.order_b]
+        self.birth_b, self.death_b = birth_b[self.order_b], death_b[self.order_b]
         self.half_a = _halves(self.birth_a, self.death_a)
         self.half_b = _halves(self.birth_b, self.death_b)
         # far enough past every rounding in `death - r` that a window never
         # drops an entry of D at most r
-        self.slack = max(np.abs(x).max() for x in (birth_a, death_a, self.birth_b, self.death_b)) * 2.0**-40
-        # per side, each point's partner in the last matching found and its cost
-        self.mate = (np.full(len(A), -1), np.full(len(B), -1))
-        self.cost = (np.full(len(A), math.inf), np.full(len(B), math.inf))
+        self.slack = max(np.abs(x).max() for x in (birth_a, death_a, birth_b, death_b)) * 2.0**-40
         self.E, self.read_at = None, -math.inf  # the edges at most the largest radius probed
 
     def edges(self, r: float, outs: tuple[np.ndarray, np.ndarray] | None = None) -> _Edges:
@@ -429,22 +390,22 @@ class _Class:
         lasts = np.minimum(starts + _BLOCK, len(self.death_a)) - 1
         with np.errstate(over="ignore"):  # a window past the largest float is unbounded
             reach = r * (1 + 2.0**-40) + self.slack
-            lo = np.searchsorted(self.sorted_death_b, self.death_a[starts] - reach, "left")
-            hi = np.searchsorted(self.sorted_death_b, self.death_a[lasts] + reach, "right")
+            lo = np.searchsorted(self.death_b, self.death_a[starts] - reach, "left")
+            hi = np.searchsorted(self.death_b, self.death_a[lasts] + reach, "right")
         rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
         for s, l, h in zip(starts.tolist(), lo.tolist(), hi.tolist()):
             if l == h:
                 continue
-            block, window = slice(s, s + _BLOCK), np.sort(self.order_b[l:h])
-            D = _linf(self.birth_a[block], self.death_a[block], self.birth_b[window], self.death_b[window])
+            block = slice(s, s + _BLOCK)
+            D = _linf(self.birth_a[block], self.death_a[block], self.birth_b[l:h], self.death_b[l:h])
             if outs is not None:
                 np.minimum(outs[0][block], D.min(axis=1), out=outs[0][block])
-                outs[1][window] = np.minimum(outs[1][window], D.min(axis=0))
+                np.minimum(outs[1][l:h], D.min(axis=0), out=outs[1][l:h])
                 continue
             within = D <= r
             i, j = within.nonzero()
             rows.append((i + s).astype(np.int32))
-            cols.append(window[j].astype(np.int32))
+            cols.append((j + l).astype(np.int32))
             vals.append(D[within])
         # one array at a time, so the pieces of only one are held twice
         row = np.concatenate(rows)
@@ -460,7 +421,7 @@ class _Class:
         radius. Each point's cost to its nearest partners in death bounds its
         way out, so the windows at the largest such bound hold every one.
         """
-        out_a = _nearest_death_cost(self.birth_a, self.death_a, self.sorted_birth_b, self.sorted_death_b)
+        out_a = _nearest_death_cost(self.birth_a, self.death_a, self.birth_b, self.death_b)
         out_b = _nearest_death_cost(self.birth_b, self.death_b, self.birth_a, self.death_a)
         bound = max(
             np.minimum(self.half_a, out_a).max(initial=0.0), np.minimum(self.half_b, out_b).max(initial=0.0)
@@ -469,69 +430,91 @@ class _Class:
         self.edges(bound, (out_a, out_b))
         return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
 
-    def _cover(self, side: int, eps: float) -> float | None:
-        """Match the side's far points into the other side in {D <= eps}; side 0 is A, 1 is B.
+    def _edges(self) -> _Edges:
+        """The edges at most the largest radius probed, read when first asked for since it grew."""
+        if self.E is None:
+            self.E = self.edges(self.read_at)
+        return self.E
 
-        The search starts from the side's last matching, less its pairs that
-        cost more than eps, which is a matching of this graph whatever radius
-        it was found at. Returns None when some far point stays unmatched,
-        and otherwise the radius of the matching found: its largest cost or
-        near point's half-persistence.
-        """
-        half, mate, cost = (self.half_a, self.half_b)[side], self.mate[side], self.cost[side]
+    def _cover(self, side: int, eps: float) -> bool:
+        """Whether some matching in {D <= eps} covers the side's far points; side 0 is A, 1 is B."""
+        half = (self.half_a, self.half_b)[side]
         far = half > eps
-        left = np.flatnonzero(far)
-        if not len(left):
-            return half.max(initial=0.0)
-        E = self.E
+        E = self._edges()
         keep = E.val <= eps
-        keep &= far[(E.row, E.col)[side]]
+        keep &= np.take(far, (E.row, E.col)[side])
         owner, other = E.kept(side, keep)
-        counts = np.bincount(owner, minlength=len(half))
-        if not counts[left].all():
-            return None
-        ends = counts.cumsum()
-        adj = _Rows(other, (ends - counts)[left].tolist(), ends[left].tolist())
-        warm = np.where(cost[left] <= eps, mate[left], -1).tolist()
-        n_right = len((self.half_b, self.half_a)[side])
-        match = np.array(_hopcroft_karp(adj, n_right, warm, all_layers=False), dtype=np.intp)
-        n_far, left, match = len(left), left[match != -1], match[match != -1]
-        i, j = (left, match) if side == 0 else (match, left)
-        mate.fill(-1)
-        mate[left] = match
-        cost.fill(math.inf)
-        cost[left] = np.maximum(
-            np.abs(self.birth_a[i] - self.birth_b[j]), np.abs(self.death_a[i] - self.death_b[j])
-        )
-        if len(left) < n_far:
-            return None
-        return max(cost[left].max(), half[~far].max(initial=0.0))
+        counts = np.bincount(owner, minlength=len(half))[far]
+        if not counts.all():
+            return False
+        # only far points own kept entries, so their rows follow one another
+        ends = counts.cumsum().tolist()
+        other = other.tolist()
+        adj = [(other[start:end],) for start, end in zip([0, *ends], ends)]
+        return -1 not in _hopcroft_karp(adj, len((self.half_b, self.half_a)[side]), all_layers=False)
 
     def probe(self, eps: float) -> float | None:
-        """None when eps is infeasible, otherwise the radius, at most eps, of the matchings found.
+        """None when eps is infeasible, otherwise eps.
 
-        The edges are read again only when eps is above the last radius read.
+        The edges are read again only once eps is above every radius probed before.
         """
         if eps > self.read_at:
-            self.E = None  # freed before the larger set of edges is read
-            self.E, self.read_at = self.edges(eps), eps
-        x = self._cover(0, eps)
-        y = None if x is None else self._cover(1, eps)
-        return None if y is None else max(x, y)
+            self.E, self.read_at = None, eps  # the smaller set is freed before the larger one is read
+        return eps if self._cover(0, eps) and self._cover(1, eps) else None
 
     def values(self) -> np.ndarray:
         """Every entry of D at most the largest radius probed."""
-        return self.E.val
+        return self._edges().val
 
     def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
         """The rows of {D <= eps} in A's order, and both sides' half-persistences; frees the edges."""
-        keep = self.E.val <= eps
+        keep = self.values() <= eps
         row, col = self.E.row[keep], self.E.col[keep]
         self.E = keep = None  # freed before the rows are built
+        # each row's columns as B's indices, ascending: one sort of the keys row * n + index,
+        # in int32 where they fit, which halves the sort
+        n = len(self.half_b)
+        width = np.int32 if len(self.half_a) * n < 2**31 else np.int64
+        key = np.take(self.order_b.astype(width), col)
+        col = None
+        key += row.astype(width, copy=False) * n
+        key.sort()
+        col = key % n
+        key = None
         by_death = _row_lists(row, col, len(self.half_a), len(self.half_b))
-        by_index = np.argsort(self.order_a)  # each point's position by death
-        rows = [by_death[k] for k in by_index.tolist()]
-        return rows, self.half_a[by_index].tolist(), self.half_b.tolist()
+        a_by_index, b_by_index = np.argsort(self.order_a), np.argsort(self.order_b)
+        rows = [by_death[k] for k in a_by_index.tolist()]
+        return rows, self.half_a[a_by_index].tolist(), self.half_b[b_by_index].tolist()
+
+
+class _Line(_Class):
+    """A windowed class whose points all share one birth, so that D_ij = |death_i - death_j|.
+
+    Each point's partners in {D <= eps} are then a window of the other
+    side's deaths, and the windows of the points in death order move up
+    at both ends: the intervals all have the width 2 eps. So the greedy
+    pass, each far point in death order taking the lowest unused partner in
+    its window, finds a maximum matching (Glover, "Maximum matching in a
+    convex bipartite graph", Naval Res. Logist. Q. 14, 1967). A probe reads
+    no edges; `values` and `rows` read them at most once, at the largest
+    radius probed.
+    """
+
+    def _cover(self, side: int, eps: float) -> bool:
+        """Whether the greedy pass matches every far point of the side; side 0 is A, 1 is B.
+
+        Within eps means |x - y| <= eps, with x - y rounded as `_linf` rounds it.
+        """
+        death, other = (self.death_a, self.death_b) if side == 0 else (self.death_b, self.death_a)
+        far, other = death[(self.half_a, self.half_b)[side] > eps].tolist(), other.tolist()
+        j, n = 0, len(other)
+        for x in far:
+            while j < n and x - other[j] > eps:
+                j += 1
+            if j == n or other[j] - x > eps:
+                return False
+            j += 1
+        return True
 
 
 def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> list[list[int]]:
@@ -539,7 +522,7 @@ def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> li
 
     The rows share one int object per column: 8 bytes an entry, not a new int's 36.
     """
-    ends = np.bincount(row, minlength=n_rows).cumsum().tolist()
+    ends = row.searchsorted(np.arange(1, n_rows + 1, dtype=row.dtype)).tolist()
     cols = np.arange(n_cols, dtype=object)[col].tolist()
     return [cols[start:end] for start, end in zip([0, *ends], ends)]
 
@@ -639,21 +622,21 @@ def _radius(c: _Dense | _Class) -> float:
         return float(r)
     while found is None:
         # low: the highest radius known infeasible. As a Python float, a step
-        # past the largest float gives inf without numpy's overflow warning.
-        low, r = r, (min(float(r) * _GROWTH, cap) if r > 0 else unit)
+        # past the largest float gives inf without numpy's overflow warning;
+        # a subnormal r times _GROWTH can round back to r.
+        low, r = r, (min(max(float(r) * _GROWTH, math.nextafter(r, math.inf)), cap) if r > 0 else unit)
         found = c.probe(r)
-    # the candidates in (low, r]; a feasible probe's own radius is one of them.
-    # Repeated radii cost at most one more search step; np.unique would
-    # also import numpy.ma, which then stays resident.
+    # the candidates in (low, r]; the largest of them makes the same graph as
+    # r, so it is feasible. Repeated radii cost at most one more search step;
+    # np.unique would also import numpy.ma, which then stays resident.
     radii = np.sort(np.concatenate([x[(x > low) & (x <= r)] for x in (c.values(), halves)]))
-    lo, hi = 0, int(np.searchsorted(radii, found))
+    lo, hi = 0, len(radii) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        found = c.probe(radii[mid])
-        if found is None:
+        if c.probe(radii[mid]) is None:
             lo = mid + 1
         else:
-            hi = int(np.searchsorted(radii, found))
+            hi = mid
     return float(radii[lo])
 
 
@@ -663,7 +646,10 @@ def _finite_class_distance(
     """The class's distance, and its reported pairs when report is set."""
     if len(A) <= 1 and len(B) <= 1:
         return _closed_form(A, B)
-    c = (_Dense if len(A) * len(B) <= _DENSE_ENTRIES else _Class)(A, B)
+    if len(A) * len(B) <= _DENSE_ENTRIES:
+        c = _Dense(A, B)
+    else:
+        c = (_Line if len({p[0] for p in chain(A, B)}) == 1 else _Class)(A, B)
     eps = _radius(c)
     return eps, _slot_pairs(A, B, *c.rows(eps), eps) if report else []
 

@@ -5,12 +5,13 @@ chain's cells by state indices (`E` is the oracle's `edge` on
 `WORKED_COMPLEX`).
 """
 
+import itertools
 from functools import partial
 
 import pytest
 
 from cells_oracle import edge
-from markov_morse import TransitionMatrix, build_complex
+from markov_morse import TransitionMatrix, bottleneck, build_complex
 
 WORKED_ROWS = [
     [0.5, 0.17, 0.33],
@@ -37,3 +38,16 @@ def worked_matrix():
 @pytest.fixture
 def worked_complex(worked_matrix):
     return build_complex(worked_matrix)
+
+
+@pytest.fixture
+def bounded_search(monkeypatch):
+    """Fail a bottleneck radius search at its 201st probe, on every route, instead of letting it run on."""
+    probes = itertools.count(1)
+    for route in (bottleneck._Dense, bottleneck._Class, bottleneck._Line):
+
+        def probe(self, eps, probe=route.probe):
+            assert next(probes) <= 200, "the radius search probed 200 radii"
+            return probe(self, eps)
+
+        monkeypatch.setattr(route, "probe", probe)

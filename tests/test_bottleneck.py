@@ -119,12 +119,37 @@ class TestInfinitePoints:
         assert bottleneck_distance(D1, D2) == pytest.approx(0.3, abs=1e-15)
 
 
-@pytest.fixture(params=["dense", "windowed"])
+def count_route(monkeypatch, route, *names):
+    """Bind each of names in `bottleneck` to a subclass of route that counts the classes it takes.
+
+    Returns the list of their sizes, len(A) * len(B).
+    """
+    reached = []
+
+    class Counted(route):
+        def __init__(self, A, B):
+            reached.append(len(A) * len(B))
+            super().__init__(A, B)
+
+    for name in names:
+        monkeypatch.setattr(bottleneck, name, Counted)
+    return reached
+
+
+@pytest.fixture(params=["dense", "windowed", "line"])
 def route(request, monkeypatch):
-    """Both routes for every class with more than one point a side: the default budget, and 0."""
+    """One route for every class with more than one point a side; returns the sizes of the classes it took.
+
+    dense: the default budget. windowed: the budget 0, one-birth classes
+    too. line: the budget 0, so one-birth classes take the line route and
+    the others the windowed one.
+    """
+    if request.param == "dense":
+        return count_route(monkeypatch, bottleneck._Dense, "_Dense")
+    monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
     if request.param == "windowed":
-        monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
-    return request.param
+        return count_route(monkeypatch, bottleneck._Class, "_Class", "_Line")
+    return count_route(monkeypatch, bottleneck._Line, "_Line")
 
 
 class TestOverflow:
@@ -137,22 +162,50 @@ class TestOverflow:
             assert assert_same_as_oracle(D1, D2).distance == 1e308
 
     def test_crowded_class(self, route):
-        D1, D2 = diag(*[self.BIG] * 3), diag(*[(0.0, 1.0, K01)] * 2)
-        assert assert_same_as_oracle(D1, D2).distance == 1e308
-        assert assert_same_as_oracle(D2, D1).distance == 1e308
+        # the second pair shares the birth -1e308, and its deaths differ by 1e308
+        for other in [(0.0, 1.0, K01), (-1e308, 0.0, K01)]:
+            D1, D2 = diag(*[self.BIG] * 3), diag(*[other] * 2)
+            assert assert_same_as_oracle(D1, D2).distance == 1e308
+            assert assert_same_as_oracle(D2, D1).distance == 1e308
+        assert route
 
     def test_huge_coordinates(self, route):
         # coordinates on a grid of 1e307 up to the largest float: spans, entries
         # of D and the radius search's steps all overflow somewhere
         rng = random.Random(308)
 
-        def point():
-            birth = rng.randint(-17, 16)
+        def point(birth=None):
+            birth = rng.randint(-17, 16) if birth is None else birth
             return birth * 1e307, rng.randint(birth + 1, 17) * 1e307, K01
 
         for _ in range(150):
             D1, D2 = (diag(*[point() for _ in range(rng.randint(0, 6))]) for _ in range(2))
             assert math.isfinite(assert_same_as_oracle(D1, D2).distance)
+        for _ in range(150):  # one birth on both sides
+            birth = rng.randint(-17, 16)
+            D1, D2 = (diag(*[point(birth) for _ in range(rng.randint(1, 6))]) for _ in range(2))
+            assert math.isfinite(assert_same_as_oracle(D1, D2).distance)
+        assert route
+
+
+class TestSubnormal:
+    """Coordinates a few subnormal steps apart, where a radius times _GROWTH rounds back to itself."""
+
+    A = [(5e-324, 2e-323, K01)]
+    B = [(0.0, 1e-323, K01), (5e-324, 1.5e-323, K01), (5e-324, 2e-323, K01), (1e-323, 1.5e-323, K01),
+         (1e-323, 2.5e-323, K01)]
+
+    def test_pair(self, route, bounded_search):
+        D1, D2 = diag(*self.A), diag(*self.B)
+        assert assert_same_as_oracle(D1, D2).distance == 1e-323
+        assert assert_same_as_oracle(D2, D1).distance == 1e-323
+
+    def test_one_birth_pair(self, route, bounded_search):
+        # the same deaths, all born at 5e-324
+        D1, D2 = diag(*self.A), diag(*[(5e-324, death, k) for _, death, k in self.B])
+        assert_same_as_oracle(D1, D2)
+        assert_same_as_oracle(D2, D1)
+        assert route
 
 
 class TestWorkedPerturbation:
@@ -267,16 +320,31 @@ def tie_heavy_pair(rng: random.Random):
     return diag(*sides[0]), diag(*sides[1])
 
 
-def synthetic_pair(seed: int, points: int, near: bool):
-    """One-class diagrams: births in [0, 0.5], exponential lengths of mean 0.08.
+def one_birth_pair(rng: random.Random):
+    """Two one-class diagrams whose points share one birth, deaths on a coarse grid: ties, repeated points."""
+    scale = rng.choice([2, 3, 4, 8])
+    birth = rng.randrange(-2 * scale, 2 * scale)
+    sides = ([], [])
+    for side in sides:
+        for _ in range(rng.randint(1, 8)):
+            if side and rng.random() < 0.3:
+                side.append(rng.choice(side))
+            else:
+                side.append((birth / scale, (birth + rng.randint(1, 3 * scale)) / scale, K01))
+    return diag(*sides[0]), diag(*sides[1])
+
+
+def synthetic_pair(seed: int, points: int, near: bool, one_birth: bool = False):
+    """One-class diagrams: births in [0, 0.5], or all 0.0 with one_birth, exponential lengths of mean 0.08.
 
     A near pair moves each point of A by up to 0.01 in birth and death and
     redraws about one point in ten; otherwise B is drawn independently.
+    With one_birth no birth moves.
     """
     rng = np.random.default_rng(seed)
 
     def draw(count):
-        births = rng.uniform(0.0, 0.5, size=count)
+        births = np.zeros(count) if one_birth else rng.uniform(0.0, 0.5, size=count)
         lengths = rng.exponential(0.08, size=count) + 1e-3
         return [(float(b), float(b + w), K01) for b, w in zip(births, lengths)]
 
@@ -288,7 +356,8 @@ def synthetic_pair(seed: int, points: int, near: bool):
         if rng.uniform() < 0.1:
             b.extend(draw(1))
         else:
-            birth = max(0.0, birth + float(rng.uniform(-0.01, 0.01)))
+            shift = float(rng.uniform(-0.01, 0.01))
+            birth = birth if one_birth else max(0.0, birth + shift)
             death = max(death + float(rng.uniform(-0.01, 0.01)), birth + 1e-4)
             b.append((birth, death, k))
     return diag(*a), diag(*b)
@@ -318,8 +387,9 @@ class TestAgainstFrozenOracle:
 
     @pytest.mark.parametrize("near", [True, False], ids=["near", "independent"])
     def test_200_point_synthetic_pair(self, near):
-        D1, D2 = synthetic_pair(200, 200, near)
-        assert_same_as_oracle(D1, D2)
+        for one_birth in (False, True):
+            D1, D2 = synthetic_pair(200, 200, near, one_birth)
+            assert_same_as_oracle(D1, D2)
 
     def test_chain_against_perturbed_chain(self):
         rng = random.Random(41)
@@ -348,22 +418,27 @@ class TestAgainstFrozenOracleWindowed(TestAgainstFrozenOracle):
     """The same comparisons with the budget at 0, so that they reach the windowed route.
 
     Every class with points on both sides and more than one on some side
-    takes it; at the default budget no class of these comparisons does.
+    takes it, one-birth classes too; at the default budget no class of
+    these comparisons does.
     """
 
     @pytest.fixture(autouse=True)
     def windowed(self, monkeypatch):
-        reached = []
-
-        class Counted(bottleneck._Class):
-            def __init__(self, A, B):
-                reached.append(len(A) * len(B))
-                super().__init__(A, B)
-
         monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
-        monkeypatch.setattr(bottleneck, "_Class", Counted)
+        reached = count_route(monkeypatch, bottleneck._Class, "_Class", "_Line")
         yield
         assert reached  # the comparisons did reach the windowed route
+
+
+class TestAgainstFrozenOracleLine(TestAgainstFrozenOracle):
+    """The same comparisons with the budget at 0, so that their one-birth classes reach the line route."""
+
+    @pytest.fixture(autouse=True)
+    def line(self, monkeypatch):
+        monkeypatch.setattr(bottleneck, "_DENSE_ENTRIES", 0)
+        reached = count_route(monkeypatch, bottleneck._Line, "_Line")
+        yield
+        assert reached  # the comparisons did reach the line route
 
 
 class TestProbesAgainstOracle:
@@ -372,8 +447,7 @@ class TestProbesAgainstOracle:
     def check(self, c, A, B, r):
         found = c.probe(r)
         assert (found is None) == (oracle_feasible(A, B, r) is None)
-        if found is not None:
-            assert found <= r and oracle_feasible(A, B, found) is not None
+        assert found is None or found == r
 
     def test_tie_heavy_classes(self):
         # the first half of `test_tie_heavy_small_pairs`' pool, which keeps this test near 2 s
@@ -392,7 +466,7 @@ class TestProbesAgainstOracle:
                 # only the dense route takes a class empty on one side
                 routes = [(bottleneck._Dense(A, B), radii)]
                 if A and B:
-                    # the shuffled radii run the warm starts out of order
+                    # the shuffled radii read the edges at radii below the largest one read
                     routes.append((bottleneck._Class(A, B), radii))
                     routes.append((bottleneck._Class(A, B), rng.sample(radii, len(radii))))
                 for c, order in routes:
@@ -400,6 +474,18 @@ class TestProbesAgainstOracle:
                         self.check(c, A, B, r)
                         probed += 1
         assert probed > 15_000
+
+    def test_one_birth_classes(self):
+        rng = random.Random(1967)
+        probed = 0
+        for _ in range(800):
+            A, B = (list(D.points) for D in one_birth_pair(rng))
+            radii = {(p.death - p.birth) / 2.0 for p in A + B} | {abs(a.death - b.death) for a in A for b in B}
+            c = bottleneck._Line(A, B)
+            for r in rng.sample(sorted(radii), len(radii)):
+                self.check(c, A, B, r)
+                probed += 1
+        assert probed > 7_000
 
 
 def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
@@ -504,28 +590,6 @@ class TestHopcroftKarpAgainstOracle:
             adj, flat, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
             n_right = len(adj)  # na + nb on either side
             assert _hopcroft_karp(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
-
-    def test_warm_start_finds_as_large_a_matching(self):
-        rng = random.Random(1976)
-        for _ in range(300):
-            if rng.random() < 0.5:
-                n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
-                rows = random_rows(rng, n_left, n_right)
-                adj, flat, shared = [split(rng, row) for row in rows], rows, ()
-            else:
-                adj, flat, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
-                n_right = len(adj)
-            # a random partial matching to start from
-            warm, used = [-1] * len(flat), set()
-            for u in rng.sample(range(len(flat)), len(flat)):
-                free = [v for v in flat[u] if v not in used]
-                if free and rng.random() < 0.6:
-                    warm[u] = rng.choice(free)
-                    used.add(warm[u])
-            result = _hopcroft_karp(adj, n_right, warm, shared=shared, all_layers=False)
-            assert_matching(adj, result)
-            expected = oracle_hopcroft_karp(flat, n_right)
-            assert sum(v != -1 for v in result) == sum(v != -1 for v in expected)
 
 
 class TestHopcroftKarpAtMatchScale:

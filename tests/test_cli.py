@@ -150,6 +150,19 @@ class TestBottleneck:
         assert obj["distance"] == 1e308
         assert [(m["pair"], m["cost"]) for m in obj["matching"]] == [(["a0", "diag"], 1e308)]
 
+    def test_subnormal_points_return(self, capsys, tmp_path, bounded_search):
+        # a radius search step by _GROWTH rounds back to the same subnormal radius
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, points in [
+            (a, [(5e-324, 2e-323)]),
+            (b, [(0.0, 1e-323), (5e-324, 1.5e-323), (5e-324, 2e-323), (1e-323, 1.5e-323), (1e-323, 2.5e-323)]),
+        ]:
+            rows = [{"birth": birth, "death": death, "index": [0, 1]} for birth, death in points]
+            path.write_text(json.dumps({"grid": [0.0], "points": rows}))
+        code, out, _ = run(capsys, "bottleneck", str(a), str(b))
+        assert code == 0
+        assert json.loads(out)["distance"] == 1e-323
+
     def test_duplicate_points_get_their_own_ids(self, capsys, tmp_path):
         point = {"birth": 0.0, "death": 1.0, "index": [0, 0]}
         twice, once = tmp_path / "twice.json", tmp_path / "once.json"

@@ -1,0 +1,40 @@
+"""The scripts under scripts/ import, and the library names they reach into still work.
+
+The scripts use private names of `markov_morse.bottleneck`, so a rename there
+fails here rather than at the next measurement.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import markov_morse as mm
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in SCRIPTS.glob("*.py")))
+def test_imports(scripts, name):
+    scripts(name)
+
+
+def test_route_crossover_solves_a_class_on_every_route(scripts):
+    crossover = scripts("route_crossover")
+    A, B = crossover.class_pair(25, near=True, one_birth=True)
+    for report in (False, True):
+        results = [crossover.solve(route, A, B, report) for route in crossover.ROUTES.values()]
+        assert results == [results[0]] * len(crossover.ROUTES)
+    assert len(results[0][1]) >= 25
+
+
+def test_bottleneck_scale_builds_the_independent_pair(scripts):
+    D1, D2 = scripts("bottleneck_scale").independent_pair(mm, 50)
+    assert len(D1.points) == len(D2.points) == 50
+    assert {tuple(p.index) for p in D1.points + D2.points} == {(0, 1)}
