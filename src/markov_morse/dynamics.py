@@ -29,12 +29,20 @@ v with an arc v -> e, as e -> v exists always. If both entries are <=
 gamma, both endpoints lie in one SCC and e with them. If neither is, e has
 no arc in and is a singleton set. Vertex ids are below edge ids, so a set
 is still labelled by its smallest cell.
+
+The same pass gives the counts of each set's index (see `homology`): its
+own vertices are its SCC's, and its mouth is the other endpoints of its
+edges whose SCC differs, or both endpoints of a singleton edge. `morse_sets`
+keeps only the cells; `persistence.run_filtration` takes the base sets of
+its sweep with their counts from the one private helper, `_parts`, so no
+set is read twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cells import StateComplex
 from .homology import _counts
@@ -111,29 +119,51 @@ def morse_sets(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[Mors
     alone (see the module docstring).
     """
     check_gamma(gamma)
-    rows = P.entries.tolist()
+    parts = _parts(X, P.entries.tolist(), gamma)
+    return tuple(MorseSet(label, frozenset(cells)) for label, cells, _, _ in parts)
+
+
+_Counted = tuple[int, list[int], int, set[int]]  # (label, cells, own vertex count, mouth) of one Morse set
+
+
+def _parts(X: StateComplex, rows: list[list[float]], gamma: float) -> list[_Counted]:
+    """Each Morse set at gamma as (label, cells, own vertex count, mouth), sorted by label.
+
+    `rows` are P's entries as lists. The mouth of a set is the endpoints of
+    its edges that lie outside it; an edge's other endpoint is outside
+    exactly when its SCC differs from the tail's, and a lone edge's mouth
+    is both endpoints. So the counts of the index (see `homology`) come out
+    of the same pass that finds the sets.
+    """
     adj: list[list[int]] = [[] for _ in range(X.n)]  # the state digraph
-    attached: list[tuple[int, int]] = []  # (v, e) for one arc v -> e into each edge that has one
-    singles: list[int] = []  # the edges with no arc in
+    attached: list[tuple[int, int, int]] = []  # (v, w, e): one arc v -> e into an edge e = {v, w} that has one
+    singles: list[_Counted] = []  # the edges with no arc in
     for e, (i, j) in enumerate(X.edges, start=X.n):
-        tail = None
-        for v, w in ((i - 1, j - 1), (j - 1, i - 1)):  # cells of states i, j
-            if rows[v][w] <= gamma:
-                adj[v].append(w)
-                tail = v
-        if tail is None:
-            singles.append(e)
+        a, b = i - 1, j - 1  # cells of states i, j
+        if rows[a][b] <= gamma:
+            adj[a].append(b)
+            if rows[b][a] <= gamma:
+                adj[b].append(a)
+            attached.append((a, b, e))
+        elif rows[b][a] <= gamma:
+            adj[b].append(a)
+            attached.append((b, a, e))
         else:
-            attached.append((tail, e))
+            singles.append((e, [e], 0, {a, b}))
     comps = _tarjan_scc(adj)
     comp_of = [0] * X.n
     for k, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = k
-    for v, e in attached:
-        comps[comp_of[v]].append(e)
-    sets = sorted((MorseSet(min(comp), frozenset(comp)) for comp in comps), key=lambda m: m.label)
-    return (*sets, *(MorseSet(e, frozenset((e,))) for e in singles))  # edge labels exceed vertex labels
+    parts = [(min(comp), comp, len(comp), set()) for comp in comps]
+    for v, w, e in attached:
+        k = comp_of[v]
+        _, cells, _, mouth = parts[k]
+        cells.append(e)
+        if comp_of[w] != k:
+            mouth.add(w)
+    parts.sort(key=itemgetter(0))
+    return parts + singles  # edge labels exceed vertex labels
 
 
 def _reach(start: int, arcs: dict[int, set[int]]) -> set[int]:

@@ -38,7 +38,7 @@ def topological_index(X: StateComplex, M: "MorseSet") -> TopologicalIndex:
     module docstring gives the reason every Morse set qualifies.
     """
     edges, vertices, mouth = _counts(X, M.cells)
-    return index_from_counts(edges, vertices, len(mouth))
+    return index_from_counts(edges - vertices, len(mouth))
 
 
 def _counts(X: StateComplex, cells: frozenset[int]) -> tuple[int, int, set[int]]:
@@ -48,6 +48,6 @@ def _counts(X: StateComplex, cells: frozenset[int]) -> tuple[int, int, set[int]]
     return len(edges), len(cells) - len(edges), mouth
 
 
-def index_from_counts(edges: int, vertices: int, mouth: int) -> TopologicalIndex:
-    """The index of a Morse set with `edges` edges, `vertices` own vertices and `mouth` mouth vertices."""
-    return TopologicalIndex(edges - vertices - mouth + 1, edges - vertices + (not mouth))
+def index_from_counts(excess: int, mouth: int) -> TopologicalIndex:
+    """The index of a Morse set with `excess` = |E| - |V_M| and `mouth` mouth vertices."""
+    return TopologicalIndex(excess - mouth + 1, excess + (not mouth))

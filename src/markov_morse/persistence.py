@@ -17,12 +17,19 @@ Applying the entry of vertex v and edge e adds the arc v -> e to the cell
 digraph (see `dynamics`), and the arc e -> v exists already. So the sets
 that become one are exactly those on a path SCC(e) ~> W ~> SCC(v). The
 arcs out of a set end in its mouth, which the set keeps for its index
-anyway: a forward search from SCC(e) through the mouths finds the sets
-below it, and a search back from SCC(v) inside that cone finds the ones on
-a path. They are contracted into one node; every other set, its index and
-its track carry over unchanged. The contraction keeps the storage of the
-heaviest part and moves only the lighter parts', and it keeps the three
-counts of the index (see `homology`) up to date, so no set is re-read.
+anyway, and v is in the mouth of SCC(e). When SCC(v) is the only set below
+SCC(e), every path from SCC(e) starts with the arc into SCC(v), and a
+longer path on to SCC(v) would be a cycle of the condensation, which has
+none: the two sets alone become one, and nothing is searched. That is most
+merges. Otherwise a forward search from SCC(e) through the mouths finds the
+sets below it, and a search back from SCC(v) inside that cone finds the
+ones on a path. They are contracted into one node; every other set, its
+index and its track carry over unchanged. The contraction keeps the storage
+of the heaviest part and moves only the lighter parts', and it keeps the
+three counts of the index (see `homology`) up to date, so no set is
+re-read. The base sets come with their counts from the pass that finds them
+(`dynamics._parts`), and a born set takes its `TopologicalIndex` from a
+table kept for one sweep, so sets with equal indices share one object.
 
 The result keeps the base sets and a flat log of one `Birth` (grid value,
 label, lineage, index) per Morse set born, base sets first; that is all
@@ -43,11 +50,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet, _reach, morse_sets
-from .homology import TopologicalIndex, _counts, index_from_counts
+from .dynamics import MorseSet, _Counted, _parts, _reach
+from .homology import TopologicalIndex, index_from_counts
 from .markov import ThresholdGrid, TransitionMatrix, _clip
 
 
@@ -147,13 +154,21 @@ class _Part:
 
     __slots__ = ("label", "cells", "vertices", "mouth")
 
-    def __init__(self, X: StateComplex, m: MorseSet):
-        self.label = m.label
-        self.cells = list(m.cells)
-        _, self.vertices, self.mouth = _counts(X, m.cells)
+    def __init__(self, label: int, cells: list[int], vertices: int, mouth: set[int]):
+        self.label, self.cells, self.vertices, self.mouth = label, cells, vertices, mouth
 
-    def index(self) -> TopologicalIndex:
-        return index_from_counts(len(self.cells) - self.vertices, self.vertices, len(self.mouth))
+    @property
+    def weight(self) -> int:
+        """Cells plus mouth: what moving this storage into another costs."""
+        return len(self.cells) + len(self.mouth)
+
+
+class _Indices(dict):
+    """(|E| - |V_M|, mouth size) -> the index of a set with those counts, one object per key for one sweep."""
+
+    def __missing__(self, counts: tuple[int, int]) -> TopologicalIndex:
+        self[counts] = index = index_from_counts(*counts)
+        return index
 
 
 class _Sweep:
@@ -169,55 +184,74 @@ class _Sweep:
     it moves.
     """
 
-    def __init__(self, X: StateComplex, sets: tuple[MorseSet, ...]):
-        self.root_of = [0] * X.cell_count
-        self.part = {m.label: _Part(X, m) for m in sets}
-        for m in sets:
-            for c in m.cells:
-                self.root_of[c] = m.label
+    def __init__(self, X: StateComplex, parts: list[_Counted]):
+        self.root_of = root_of = [0] * X.cell_count
+        self.part: dict[int, _Part] = {}
+        for label, cells, vertices, mouth in parts:
+            self.part[label] = _Part(label, cells, vertices, mouth)
+            for c in cells:
+                root_of[c] = label
         self.born: dict[int, list[int]] = {}  # root -> previous-stage labels
+        self.indices = _Indices()
 
-    def join(self, v: int, e: int) -> None:
-        """Add the arc v -> e (a no-op if v and e share a Morse set)."""
-        top, bottom = self.root_of[e], self.root_of[v]
-        if top != bottom:
-            # top's forward cone with its arcs reversed; it holds bottom, since
-            # v is in the mouth of e's set, and the sets on a path top ~> bottom
-            # are those that bottom reaches in it
-            root_of, part = self.root_of, self.part
-            above: dict[int, set[int]] = {top: set()}
-            stack = [top]
-            while stack:
-                x = stack.pop()
-                for w in {root_of[c] for c in part[x].mouth}:
-                    if w not in above:
-                        above[w] = set()
-                        stack.append(w)
-                    above[w].add(x)
-            self._contract(_reach(bottom, above))
+    def join(self, top: int, bottom: int) -> None:
+        """Add an arc from the set `bottom` into the set `top`, one of its successors.
 
-    def _contract(self, merged: set[int]) -> None:
-        """Replace the sets `merged`, a strongly connected group now, by their union."""
-        part, root_of = self.part, self.root_of
-        keep = max(merged, key=lambda r: len(part[r].cells) + len(part[r].mouth))
+        When `bottom` is top's only successor the two sets alone merge (see
+        the module docstring); otherwise top's forward cone is searched.
+        """
+        root_of, part = self.root_of, self.part
+        below = {root_of[c] for c in part[top].mouth}
+        if len(below) == 1:  # every path top ~> bottom is the one arc top -> bottom
+            self._contract(top if part[top].weight >= part[bottom].weight else bottom, (top, bottom))
+            return
+        # top's forward cone with its arcs reversed; it holds bottom, and the
+        # sets on a path top ~> bottom are those that bottom reaches in it
+        above: dict[int, set[int]] = {top: set()}
+        stack = [top]
+        while stack:
+            x = stack.pop()
+            for w in {root_of[c] for c in part[x].mouth}:
+                if w not in above:
+                    above[w] = set()
+                    stack.append(w)
+                above[w].add(x)
+        merged = _reach(bottom, above)
+        self._contract(max(merged, key=lambda r: part[r].weight), merged)
+
+    def _contract(self, keep: int, merged: Collection[int]) -> None:
+        """Replace the sets `merged`, a strongly connected group now, by their union stored at `keep`.
+
+        Each lighter part is moved in on its own: a mouth vertex in a part
+        not moved yet is dropped when that part's cells are.
+        """
+        part, root_of, born = self.part, self.root_of, self.born
         into = part[keep]
-        parts = self.born.pop(keep, [into.label])
-        for r in merged - {keep}:
+        parts = born.pop(keep, [into.label])
+        for r in merged:
+            if r == keep:
+                continue
             light = part.pop(r)
             for c in light.cells:
                 root_of[c] = keep
-            into.label = min(into.label, light.label)
+            if light.label < into.label:
+                into.label = light.label
             into.cells += light.cells
             into.vertices += light.vertices
             into.mouth.difference_update(light.cells)
-            into.mouth.update(x for x in light.mouth if root_of[x] not in merged)
-            parts += self.born.pop(r, (light.label,))
-        self.born[keep] = parts
+            into.mouth.update(x for x in light.mouth if root_of[x] != keep)
+            parts += born.pop(r, (light.label,))
+        born[keep] = parts
+
+    def index(self, root: int) -> TopologicalIndex:
+        """The index of the set stored at `root`, from its counts (see `homology`)."""
+        p = self.part[root]
+        return self.indices[len(p.cells) - 2 * p.vertices, len(p.mouth)]
 
     def record(self, gamma: float) -> list[Birth]:
         """The sets born since the last record, each with its lineage and index."""
         born, self.born = self.born, {}
-        return [Birth(gamma, self.part[r].label, tuple(sorted(p)), self.part[r].index()) for r, p in born.items()]
+        return [Birth(gamma, self.part[r].label, tuple(sorted(p)), self.index(r)) for r, p in born.items()]
 
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
@@ -230,16 +264,18 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
         for a, b in ((i - 1, j - 1), (j - 1, i - 1))  # cells of states i, j
         if (p := rows[a][b]) > 0.0
     )
-    base = morse_sets(X, P, 0.0)
-    sweep = _Sweep(X, base)
-    births = [Birth(0.0, m.label, (), sweep.part[m.label].index()) for m in base]
+    sweep = _Sweep(X, _parts(X, rows, 0.0))
+    base = tuple(MorseSet(label, frozenset(p.cells)) for label, p in sweep.part.items())  # none merged yet
+    births = [Birth(0.0, m.label, (), sweep.index(m.label)) for m in base]
     values = [0.0]
+    root_of = sweep.root_of
     for gamma, v, e in entries:
         if gamma > values[-1]:  # a new grid value; every entry of the last one is applied
             if sweep.born:
                 births += sweep.record(values[-1])
             values.append(gamma)
-        sweep.join(v, e)
+        if root_of[e] != root_of[v]:  # else v and e share a Morse set already
+            sweep.join(root_of[e], root_of[v])
     if sweep.born:
         births += sweep.record(values[-1])
     return FiltrationResult(ThresholdGrid(tuple(values)), X, base, tuple(births))

@@ -21,7 +21,8 @@ from markov_morse import (
     random_chain,
     run_filtration,
 )
-from markov_morse import homology, persistence
+from markov_morse import dynamics, homology, persistence
+from markov_morse.cells import build_complex
 from markov_morse.dynamics import MorseSet, morse_sets
 from markov_morse.harness import containment_map
 from markov_morse.homology import topological_index
@@ -234,7 +235,108 @@ class TestIncremental:
                     assert m is before[m.label]
                     assert stage.index_of[m.label] is prev.index_of[m.label]
 
+    def test_equal_indices_share_one_object_within_one_call(self):
+        # the index table lives for one run_filtration call: every birth of
+        # one sweep with a given index holds the same object, and a second
+        # call builds its own
+        P = random_chain(RandomChainSpec(9, 0.7, 5))
+        F, G = run_filtration(P), run_filtration(P)
+        assert len({id(b.index) for b in F.births}) == len({b.index for b in F.births}) > 1
+        assert F.births == G.births
+        assert all(f.index is not g.index for f, g in zip(F.births, G.births))
+
     def test_every_born_set_absorbed_at_least_two(self):
         F = run_filtration(random_chain(RandomChainSpec(10, 1.0, 6)))
         for stage in F.stages[1:]:
             assert all(len(parts) >= 2 for parts in stage.absorbed.values())
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Each contraction `run_filtration` makes, as (branch, number of sets merged).
+
+    The branch is "cone" when `join` searched top's forward cone (it called
+    `_reach`) and "one successor" when it contracted {top, bottom} at once.
+    """
+    log, searched = [], []
+    reach, contract = persistence._reach, persistence._Sweep._contract
+
+    def spy_reach(start, arcs):
+        searched.append(start)
+        return reach(start, arcs)
+
+    def spy_contract(self, keep, merged):
+        log.append(("cone" if searched else "one successor", len(merged)))
+        searched.clear()
+        return contract(self, keep, merged)
+
+    monkeypatch.setattr(persistence, "_reach", spy_reach)
+    monkeypatch.setattr(persistence._Sweep, "_contract", spy_contract)
+    return log
+
+
+class TestJoinBranches:
+    """One hand-built chain per branch of `_Sweep.join`; states a, b, c are cells 0, 1, 2 and edges ab, ac, bc 3, 4, 5."""
+
+    def test_lone_edge_into_the_set_of_both_endpoints_has_one_successor(self, contractions):
+        # at 0.1, a and b join through c while the edge ab stays alone, its
+        # mouth {a, b} inside that one set; at 0.3 a's entry along ab makes
+        # ab's set top and the set of a, b, c its only successor
+        P = TransitionMatrix([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.1, 0.1, 0.8]])
+        assert_matches_oracle(P)
+        contractions.clear()
+        F = run_filtration(P)
+        assert contractions[-1] == ("one successor", 2)
+        assert F.births[-1][:3] == (0.3, 0, (0, 3))
+        assert F.births[-1].index == (1, 1)
+
+    def test_top_with_two_successors_searches_its_cone(self, contractions):
+        # by 0.2 the sets are {a, ab, ac} (mouth b, c), {b, bc} (mouth c) and
+        # {c}; at 0.3 c's entry along ac joins top {a, ab, ac} to bottom {c},
+        # and the path top -> {b, bc} -> {c} pulls the middle set in too, so
+        # merging {top, bottom} alone would be wrong
+        P = TransitionMatrix([[0.8, 0.1, 0.1], [0.4, 0.4, 0.2], [0.3, 0.5, 0.2]])
+        assert_matches_oracle(P)
+        contractions.clear()
+        F = run_filtration(P)
+        assert contractions[-1] == ("cone", 3)
+        assert [b[:3] for b in F.births if b.gamma == 0.3] == [(0.3, 0, (0, 1, 2))]
+
+    def test_three_sets_merge_into_the_heaviest_middle_one(self, contractions):
+        # by 0.1 the sets are {a}, {b, c, ac, bc} (mouth a) and the lone edge
+        # ab (mouth a, b); at 0.3 a's entry along ab contracts all three, and
+        # the storage kept is the middle set's, neither top's nor bottom's
+        P = TransitionMatrix([[0.3, 0.3, 0.4], [0.5, 0.4, 0.1], [0.1, 0.1, 0.8]])
+        assert_matches_oracle(P)
+        contractions.clear()
+        F = run_filtration(P)
+        assert contractions[-1] == ("cone", 3)
+        assert [b[:3] for b in F.births if b.gamma == 0.3] == [(0.3, 0, (0, 1, 3))]
+
+
+def sweep_pool(seed: int = 1, count: int = 32):
+    """The `sweep` benchmark's chains: n=16, density 0.7, item seeds drawn as `benchmark/workloads.py` draws them."""
+    seeds = np.random.default_rng([seed, *b"sweep"]).integers(0, 2**31 - 1, size=count)
+    return [random_chain(RandomChainSpec(16, 0.7, int(s))) for s in seeds]
+
+
+def assert_parts_count_as_homology(P):
+    # the counts the sweep starts from are the ones `_counts` reads off each set's cells
+    X = build_complex(P)
+    parts = dynamics._parts(X, P.entries.tolist(), 0.0)
+    assert [label for label, *_ in parts] == [m.label for m in morse_sets(X, P, 0.0)]
+    for label, cells, vertices, mouth in parts:
+        assert label == min(cells) and len(set(cells)) == len(cells)
+        edges, own, expected_mouth = homology._counts(X, frozenset(cells))
+        assert (len(cells) - vertices, vertices, mouth) == (edges, own, expected_mouth), f"set {label}"
+
+
+def test_base_parts_count_as_homology_on_the_sweep_pool():
+    for P in sweep_pool():
+        assert_parts_count_as_homology(P)
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_rows)
+def test_property_base_parts_count_as_homology(weights):
+    assert_parts_count_as_homology(weighted_chain(weights))

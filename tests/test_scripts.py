@@ -1,7 +1,8 @@
 """The scripts under scripts/ import, and the library names they reach into still work.
 
 The scripts use private names of `markov_morse.bottleneck`, so a rename there
-fails here rather than at the next measurement.
+fails here rather than at the next measurement. `scale_table.measure`, the
+row behind README's filtration table, runs once on a small chain.
 """
 
 import importlib
@@ -38,3 +39,10 @@ def test_bottleneck_scale_builds_the_independent_pair(scripts):
     D1, D2 = scripts("bottleneck_scale").independent_pair(mm, 50)
     assert len(D1.points) == len(D2.points) == 50
     assert {tuple(p.index) for p in D1.points + D2.points} == {(0, 1)}
+
+
+def test_scale_table_measures_a_small_chain(scripts):
+    row = scripts("scale_table").measure(8)
+    F = mm.run_filtration(mm.random_chain(mm.RandomChainSpec(8, 0.7, 1)))
+    assert row["n"] == 8 and row["grid_values"] == len(F.grid)
+    assert row["filtration_s"] > 0 and row["diagram_s"] > 0 and row["peak_mb"] > 0
