@@ -72,7 +72,7 @@ def solve(route, A, B, report: bool):
     """What `_finite_class_distance` runs on a class the route takes."""
     c = route(A, B)
     eps = _radius(c)
-    return eps, _slot_pairs(A, B, *c.rows(eps), eps) if report else []
+    return eps, _slot_pairs(A, B, c, eps) if report else []
 
 
 def per_call_ms(route, A, B, report: bool, calls: int) -> tuple[float, tuple]:

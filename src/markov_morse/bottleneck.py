@@ -46,14 +46,17 @@ Per class, the finite points A and B take one of four routes:
   checks: A's far points match into B, and B's far points match into A.
   The dense and the windowed route run each check as a Hopcroft-Karp run
   whose breadth-first passes stop at the first layer that reaches a free
-  node, which finds a matching as large in fewer steps.
+  node, which finds a matching as large in fewer steps. The dense route's
+  rows are ints, bit j for column j (`_bit_hopcroft_karp`); the windowed
+  route's are lists, as an int a row would cost bits quadratic in its class.
 - The reported matching, in `bottleneck_matching` only. At the optimum the
   graph with diagonal slots is built once, rows in the order A's points then
   B's slots and each row's columns ascending, and one Hopcroft-Karp run on it
   fixes which pairs are reported and in what order; this run keeps every
-  breadth-first layer, as the oracle's does. Slots are shared sequences, so
-  no slot row is copied; a windowed or line class's rows also share one int
-  object per B point. `bottleneck_distance` stops at the radius.
+  breadth-first layer, as the oracle's does. The near B points and the
+  slots are each one int or sequence that every slot row shares, so no slot
+  row is copied; a windowed or line class's rows also share one int object
+  per B point. `bottleneck_distance` stops at the radius.
 - Where death - birth overflows, a half-persistence is death / 2.0 -
   birth / 2.0, so finite diagrams keep a finite distance.
 
@@ -69,7 +72,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator, Sequence
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -466,8 +471,11 @@ class _Class:
         """Every entry of D at most the largest radius probed."""
         return self._edges().val
 
-    def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
-        """The rows of {D <= eps} in A's order, and both sides' half-persistences; frees the edges."""
+    def rows(self, eps: float) -> tuple[list[list[int]], list[int], range, list[float], list[float]]:
+        """`_slot_pairs`' parts of the graph at the radius eps; frees the edges.
+
+        The rows of {D <= eps} in A's order, the near B points, the slots and both sides' half-persistences.
+        """
         keep = self.values() <= eps
         row, col = self.E.row[keep], self.E.col[keep]
         self.E = keep = None  # freed before the rows are built
@@ -484,7 +492,9 @@ class _Class:
         by_death = _row_lists(row, col, len(self.half_a), len(self.half_b))
         a_by_index, b_by_index = np.argsort(self.order_a), np.argsort(self.order_b)
         rows = [by_death[k] for k in a_by_index.tolist()]
-        return rows, self.half_a[a_by_index].tolist(), self.half_b[b_by_index].tolist()
+        half_a, half_b = self.half_a[a_by_index].tolist(), self.half_b[b_by_index].tolist()
+        near_b = [j for j, h in enumerate(half_b) if h <= eps]
+        return rows, near_b, range(len(half_b), len(half_b) + len(half_a)), half_a, half_b
 
 
 class _Line(_Class):
@@ -528,26 +538,17 @@ def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> li
 
 
 def _slot_pairs(
-    A: list[PersistencePoint],
-    B: list[PersistencePoint],
-    rows: list[list[int]],
-    half_a: list[float],
-    half_b: list[float],
-    eps: float,
+    A: list[PersistencePoint], B: list[PersistencePoint], c: _Dense | _Class, eps: float
 ) -> list[MatchPair]:
-    """The reported pairs at the optimal radius eps.
-
-    rows holds each A point's columns of {D <= eps}, in A's order and each
-    ascending; half_a and half_b the half-persistences in A's and B's order.
-    """
+    """The reported pairs of the class c of A and B at its optimal radius eps."""
+    rows, near_b, slots, half_a, half_b = c.rows(eps)
     na, nb = len(A), len(B)
     # the graph with diagonal slots: A's points then one slot per B point on
     # the left, B's points then one slot per A point on the right
-    slots = range(nb, nb + na)
-    near_b = [j for j, h in enumerate(half_b) if h <= eps]
     adj = [(row, slots) if h <= eps else (row,) for row, h in zip(rows, half_a)]
     adj.extend([(near_b, slots)] * nb)
-    match_left = _hopcroft_karp(adj, na + nb, shared=(near_b, slots))
+    match = _bit_hopcroft_karp if isinstance(c, _Dense) else _hopcroft_karp  # the one for the rows' form
+    match_left = match(adj, na + nb, shared=(near_b, slots))
     pairs = []
     for u, v in enumerate(match_left):
         if u < na and v < nb:
@@ -560,22 +561,99 @@ def _slot_pairs(
     return pairs
 
 
-def _dense_rows(within: np.ndarray) -> list[list[int]]:
-    """Each row's columns of the boolean matrix within, ascending."""
-    # a dense class has at most _DENSE_ENTRIES entries, so its rows skip `_row_lists`'
-    # shared ints, which cost 7% of the dense distance on `match` classes; on those
-    # classes the flat indices cost a third of the 2-D `nonzero`
-    n_rows, n_cols = within.shape
-    flat = within.ravel().nonzero()[0]
-    ends = flat.searchsorted(np.arange(1, n_rows + 1) * n_cols).tolist()
-    cols = (flat % n_cols).tolist()
-    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+def _bits(x: int) -> list[int]:
+    """The positions of x's set bits, ascending, in time linear in x's length."""
+    data = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(data, bitorder="little")).tolist()
+
+
+def _bit_rows(within: np.ndarray) -> list[int]:
+    """Each row of the boolean matrix within as an int, bit j for column j."""
+    packed = np.packbits(within, axis=1, bitorder="little")
+    k, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i * k : i * k + k], "little") for i in range(len(packed))]
+
+
+def _bit_hopcroft_karp(
+    adj: list[tuple[int, ...]], n_right: int, shared: tuple[int, ...] = (), all_layers: bool = True
+) -> list[int]:
+    """`_hopcroft_karp` on rows of ints, bit v for right node v, whose scan order is ascending.
+
+    A row's ints cover ascending, disjoint ranges of right nodes, and rows
+    may share the ints in shared. Each step is a few operations on whole ints:
+    the greedy pass takes the lowest bit of part & free, or a shared int's
+    lowest free bit from the list of its bits; a breadth-first layer ORs its
+    distinct ints less the nodes reached; the depth-first search from layer
+    t - 1 takes the lowest bit of part & (free | at[t]) above the last it
+    took, where at[t] holds the right nodes whose partner is at layer t.
+    """
+    match_left = [-1] * len(adj)
+    match_right = [-1] * n_right
+    free = (1 << n_right) - 1
+    rest = {id(part): _bits(part)[::-1] for part in shared}  # a shared int's bits, lowest last
+    for u, row in enumerate(adj):
+        for part in row:
+            bits = rest.get(id(part)) if rest else None
+            while bits and match_right[bits[-1]] != -1:
+                bits.pop()
+            if bits is None:
+                x = part & free
+                v = (x & -x).bit_length() - 1  # -1 when x is 0
+            else:
+                v = bits[-1] if bits else -1
+            if v != -1:
+                match_left[u], match_right[v] = v, u
+                free ^= 1 << v
+                break
+    while -1 in match_left:
+        roots = layer = [u for u, v in enumerate(match_left) if v == -1]
+        dist = [0 if v == -1 else math.inf for v in match_left]
+        found, reached, at = False, 0, [0]
+        while layer and (all_layers or not found):
+            parts = list(chain.from_iterable(map(adj.__getitem__, layer)))
+            new = reduce(or_, dict(zip(map(id, parts), parts)).values(), 0) & ~reached
+            reached |= new
+            found = found or new & free != 0
+            new &= ~free
+            at.append(new)
+            layer = [match_right[v] for v in _bits(new)]
+            for w in layer:
+                dist[w] = len(at) - 1
+        if not found:
+            return match_left
+        at.append(0)
+        for root in roots:
+            stack = [(root, 0, -1)]  # stack[k]: a node at layer k, its row's part read, the last bit taken
+            while stack:
+                u, i, last = stack[-1]
+                row, t = adj[u], dist[u] + 1
+                reach = (free | at[t]) & -(1 << (last + 1))
+                while i < len(row) and not row[i] & reach:
+                    i += 1
+                if i == len(row):
+                    dist[u] = math.inf
+                    stack.pop()
+                    if stack:
+                        at[t - 1] ^= 1 << stack[-1][2]  # u's partner
+                    continue
+                x = row[i] & reach
+                v = (x & -x).bit_length() - 1
+                stack[-1] = (u, i, v)
+                if match_right[v] != -1:
+                    stack.append((match_right[v], 0, -1))
+                    continue
+                free ^= 1 << v
+                for k, (x_k, _, v_k) in enumerate(stack):  # flip the path
+                    match_left[x_k], match_right[v_k] = v_k, x_k
+                    at[k] |= 1 << v_k
+                    at[k + 1] &= ~(1 << v_k)
+                break
+    return match_left
 
 
 def _covers(within: np.ndarray) -> bool:
     """Whether some matching in the bipartite graph within covers every row."""
-    adj = list(zip(_dense_rows(within)))  # rows of one sequence each
-    return -1 not in _hopcroft_karp(adj, within.shape[1], all_layers=False)
+    return -1 not in _bit_hopcroft_karp(list(zip(_bit_rows(within))), within.shape[1], all_layers=False)
 
 
 class _Dense:
@@ -606,9 +684,11 @@ class _Dense:
         """Every entry of D."""
         return self.D.ravel()
 
-    def rows(self, eps: float) -> tuple[list[list[int]], list[float], list[float]]:
-        """The rows of {D <= eps} in A's order, and both sides' half-persistences."""
-        return _dense_rows(self.D <= eps), self.half_a.tolist(), self.half_b.tolist()
+    def rows(self, eps: float) -> tuple[list[int], int, int, list[float], list[float]]:
+        """As `_Class.rows`, with each row, the near B points and the slots an int, bit j for node j."""
+        (near_b,) = _bit_rows((self.half_b <= eps)[None])
+        slots = ((1 << len(self.half_a)) - 1) << len(self.half_b)
+        return _bit_rows(self.D <= eps), near_b, slots, self.half_a.tolist(), self.half_b.tolist()
 
 
 def _radius(c: _Dense | _Class) -> float:
@@ -651,7 +731,7 @@ def _finite_class_distance(
     else:
         c = (_Line if len({p[0] for p in chain(A, B)}) == 1 else _Class)(A, B)
     eps = _radius(c)
-    return eps, _slot_pairs(A, B, *c.rows(eps), eps) if report else []
+    return eps, _slot_pairs(A, B, c, eps) if report else []
 
 
 def _infinite_class_distance(

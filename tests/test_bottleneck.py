@@ -25,7 +25,7 @@ from markov_morse import (
     run_filtration,
 )
 from markov_morse import bottleneck
-from markov_morse.bottleneck import _hopcroft_karp
+from markov_morse.bottleneck import _bit_hopcroft_karp, _hopcroft_karp
 from markov_morse.homology import TopologicalIndex
 from markov_morse.markov import ThresholdGrid, matrix_distance
 from markov_morse.persistence import PersistencePoint
@@ -391,6 +391,15 @@ class TestAgainstFrozenOracle:
             D1, D2 = synthetic_pair(200, 200, near, one_birth)
             assert_same_as_oracle(D1, D2)
 
+    def test_lopsided_pairs(self):
+        # 2 points against 400 and back: one side's slot rows all share one
+        # int or sequence, and all but two points go to the diagonal
+        for one_birth in (False, True):
+            small, _ = synthetic_pair(1, 2, False, one_birth)
+            large, _ = synthetic_pair(2, 400, False, one_birth)
+            assert_same_as_oracle(small, large)
+            assert_same_as_oracle(large, small)
+
     def test_chain_against_perturbed_chain(self):
         rng = random.Random(41)
         for seed in range(40):
@@ -557,39 +566,78 @@ def assert_matching(adj, match_left):
     assert all(v == -1 or any(v in seq for seq in row) for row, v in zip(adj, match_left))
 
 
+def as_int(seq) -> int:
+    """The right nodes of seq as an int, bit v for node v."""
+    return sum(1 << v for v in seq)
+
+
+def bit_hopcroft_karp(adj, n_right, shared=(), all_layers=True):
+    """`_bit_hopcroft_karp` on the list routine's rows: an int per sequence, one int object per shared one."""
+    ints = {id(seq): as_int(seq) for seq in shared}
+    rows = [tuple(ints[id(seq)] if id(seq) in ints else as_int(seq) for seq in row) for row in adj]
+    return _bit_hopcroft_karp(rows, n_right, tuple(ints.values()), all_layers)
+
+
 class TestHopcroftKarpAgainstOracle:
     """The library's matching routine, from an empty matching, makes the textbook run's match_left."""
+
+    match = staticmethod(_hopcroft_karp)
+    order = staticmethod(list)  # the order the routine needs each row's right nodes in: any
 
     def test_plain_rows(self):
         rng = random.Random(1973)
         for _ in range(300):
             n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
-            rows = random_rows(rng, n_left, n_right)
-            assert _hopcroft_karp([(row,) for row in rows], n_right) == oracle_hopcroft_karp(rows, n_right)
+            rows = [self.order(row) for row in random_rows(rng, n_left, n_right)]
+            assert self.match([(row,) for row in rows], n_right) == oracle_hopcroft_karp(rows, n_right)
 
     def test_rows_with_empty_sequences(self):
         rng = random.Random(1974)
         empty = 0
         for _ in range(300):
             n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
-            rows = random_rows(rng, n_left, n_right)
+            rows = [self.order(row) for row in random_rows(rng, n_left, n_right)]
             adj = [split(rng, row) for row in rows]
             empty += sum(not seq for row in adj for seq in row)
-            assert _hopcroft_karp(adj, n_right) == oracle_hopcroft_karp(rows, n_right)
+            assert self.match(adj, n_right) == oracle_hopcroft_karp(rows, n_right)
         assert empty > 300  # the generator makes the empty sequences it is meant to
 
     def test_no_edges(self):
         for n_left, n_right in [(0, 0), (0, 3), (4, 0), (5, 5)]:
             adj = [([],), (), ([], [])] * n_left
             expected = oracle_hopcroft_karp([[]] * len(adj), n_right)
-            assert _hopcroft_karp(adj, n_right) == expected == [-1] * len(adj)
+            assert self.match(adj, n_right) == expected == [-1] * len(adj)
 
     def test_slot_form(self):
         rng = random.Random(1975)
         for _ in range(300):
             adj, flat, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
             n_right = len(adj)  # na + nb on either side
-            assert _hopcroft_karp(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
+            assert self.match(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
+
+
+class TestBitHopcroftKarpAgainstOracle(TestHopcroftKarpAgainstOracle):
+    """The same comparisons on `_bit_hopcroft_karp`, whose int rows scan their right nodes ascending."""
+
+    match = staticmethod(bit_hopcroft_karp)
+    order = staticmethod(sorted)
+
+    def test_first_layer_cut_gives_the_list_routines_matching(self):
+        # with all_layers off the matching may differ from the textbook run's,
+        # but the int routine still makes the list routine's
+        rng = random.Random(1976)
+        cut = 0
+        for _ in range(300):
+            n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
+            adj = [split(rng, sorted(row)) for row in random_rows(rng, n_left, n_right)]
+            result = _hopcroft_karp(adj, n_right, all_layers=False)
+            assert bit_hopcroft_karp(adj, n_right, all_layers=False) == result
+            cut += result != _hopcroft_karp(adj, n_right)
+        for _ in range(300):
+            adj, _, shared = slot_graph(rng, rng.randint(0, 15), rng.randint(0, 15))
+            result = _hopcroft_karp(adj, len(adj), shared=shared, all_layers=False)
+            assert bit_hopcroft_karp(adj, len(adj), shared=shared, all_layers=False) == result
+        assert cut > 0  # the cut does change some matchings
 
 
 class TestHopcroftKarpAtMatchScale:
@@ -597,6 +645,7 @@ class TestHopcroftKarpAtMatchScale:
 
     PAIRS = [(seed, points, near)
              for seed, points in enumerate((100, 150, 200, 200)) for near in (True, False)]
+    match = staticmethod(_hopcroft_karp)
 
     def test_slot_form_at_the_optimum(self):
         free = []
@@ -604,7 +653,7 @@ class TestHopcroftKarpAtMatchScale:
             adj, flat, shared = optimum_slot_graph(*synthetic_pair(seed, points, near))
             n_right = len(adj)
             free.append(free_after_greedy(flat, n_right))
-            assert _hopcroft_karp(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
+            assert self.match(adj, n_right, shared=shared) == oracle_hopcroft_karp(flat, n_right)
         # the greedy pass leaves some graphs complete and some with free nodes
         # for the breadth-first phases
         assert 0 in free and max(free) >= 1
@@ -624,11 +673,17 @@ class TestHopcroftKarpAtMatchScale:
                     n_right = within.shape[1]
                     free.append(free_after_greedy(rows, n_right))
                     adj = [(row,) for row in rows]
-                    result = _hopcroft_karp(adj, n_right, all_layers=False)
+                    result = self.match(adj, n_right, all_layers=False)
                     assert_matching(adj, result)
                     expected = oracle_hopcroft_karp(rows, n_right)
                     assert sum(v != -1 for v in result) == sum(v != -1 for v in expected)
         assert 0 in free and max(free) >= 1
+
+
+class TestBitHopcroftKarpAtMatchScale(TestHopcroftKarpAtMatchScale):
+    """The same graphs, whose rows ascend, on `_bit_hopcroft_karp`: the slot rows share one int each."""
+
+    match = staticmethod(bit_hopcroft_karp)
 
 
 def traced_peak(f, *args):
@@ -703,6 +758,24 @@ class TestScale:
         D2 = build_diagram(run_filtration(perturb(P, PerturbationSpec(1, 3, 0.005))))
         digest = hashlib.sha256(repr(bottleneck_matching(D1, D2)).encode()).hexdigest()
         assert digest == "1f930631a6256cf78de6be95c1c56b139ae2a2d1a952f296d1b9562046a447e3"
+
+    def test_dense_route_staircase(self, monkeypatch):
+        # 256 points a side, exactly the dense budget: the int rows' last
+        # phase flips one augmenting path through every point
+        n = 255
+        D1, D2 = staircase_pair(n)
+        reached = count_route(monkeypatch, bottleneck._Dense, "_Dense")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(caller_depth() + 30)
+        try:
+            result = bottleneck_matching(D1, D2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert reached == [(n + 1) ** 2] == [bottleneck._DENSE_ENTRIES]
+        assert result.distance == 0.5
+        # the first phase matched a_i with b_i; the path leaves a_i with b_(i+1) and a_n with b_0
+        a, b = D1.points, D2.points
+        assert sorted((m.left, m.right) for m in result.pairs) == sorted([*zip(a[:n], b[1:]), (a[n], b[0])])
 
     def test_recursion_limit_is_irrelevant(self):
         n = 1000

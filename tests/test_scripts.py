@@ -2,7 +2,8 @@
 
 The scripts use private names of `markov_morse.bottleneck`, so a rename there
 fails here rather than at the next measurement. `scale_table.measure`, the
-row behind README's filtration table, runs once on a small chain.
+row behind README's filtration table, runs once on a small chain, and
+`ab_items` for a moment on `match` with this checkout on both sides.
 """
 
 import importlib
@@ -33,6 +34,12 @@ def test_route_crossover_solves_a_class_on_every_route(scripts):
         results = [crossover.solve(route, A, B, report) for route in crossover.ROUTES.values()]
         assert results == [results[0]] * len(crossover.ROUTES)
     assert len(results[0][1]) >= 25
+
+
+def test_ab_items_times_this_checkout_against_itself(scripts, capsys):
+    root = str(SCRIPTS.parent)
+    assert scripts("ab_items").main([root, root, "match", "0.2"]) == 0
+    assert "every summary equal" in capsys.readouterr().out
 
 
 def test_bottleneck_scale_builds_the_independent_pair(scripts):
