@@ -9,8 +9,10 @@ index-aware bottleneck distance. The harness tests how far the diagram
 moves when matrix entries move; a single edit can move it further than the
 edit itself on some chains.
 
-The package exports the pipeline; the lower layers (cells, fields,
-dynamics, homology) are imported from their own modules.
+The package exports the pipeline, plus the stages the CLI runs one by one:
+`build_complex` and `format_cell` (cells), `build_mvf` (fields),
+`morse_sets` and `morse_order` (dynamics) and `topological_index`
+(homology). The rest of those layers is imported from their own modules.
 """
 
 from .bottleneck import bottleneck_distance, bottleneck_matching

@@ -737,10 +737,9 @@ def _finite_class_distance(
 def _infinite_class_distance(
     A: list[PersistencePoint], B: list[PersistencePoint]
 ) -> tuple[float, list[MatchPair]]:
+    """Pair one class's immortal points in birth order, the order `_by_class` hands them over in."""
     if len(A) != len(B):
         return math.inf, []
-    A = sorted(A, key=lambda p: p[0])
-    B = sorted(B, key=lambda p: p[0])
     pairs = [MatchPair(a, b, abs(a[0] - b[0])) for a, b in zip(A, B)]
     dist = max((p.cost for p in pairs), default=0.0)
     return dist, pairs

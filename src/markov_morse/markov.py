@@ -89,6 +89,9 @@ class TransitionMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not the slots' setattr
+        return type(self), (self.entries, self.states)
+
     @property
     def n(self) -> int:
         return len(self.states)

@@ -11,7 +11,7 @@ the same as `threshold_grid`, and the pass reads it off as it goes. All
 entries of one value are applied before any birth at that value is
 recorded, and a value at which no set is born records nothing. Every
 multivector lies inside one Morse set, so only the sets are kept; the
-field at a stage is `build_mvf(F.complex, P, stage.gamma)`.
+field at a stage is `build_mvf(F.complex, F.matrix, stage.gamma)`.
 
 Applying the entry of vertex v and edge e adds the arc v -> e to the cell
 digraph (see `dynamics`), and the arc e -> v exists already. So the sets
@@ -31,10 +31,9 @@ re-read. The base sets come with their counts from the pass that finds them
 (`dynamics._parts`), and a born set takes its `TopologicalIndex` from a
 table kept for one sweep, so sets with equal indices share one object.
 
-The result keeps the base sets and a flat log of one `Birth` (grid value,
-label, lineage, index) per Morse set born, base sets first; that is all
-`build_diagram` reads. `FiltrationResult.stages` walks the grid beside the
-log into full per-stage snapshots on demand, for the checks.
+The result keeps P and a flat log of one `Birth` (grid value, label,
+lineage, index) per Morse set born, base sets first: all `build_diagram`
+reads. `F.stages` replays it from `morse_sets` at gamma 0, for the checks.
 
 Tracks follow these contractions. A track dies when its decoration stops
 matching its containing set's (index-change death) or when an older or
@@ -53,7 +52,7 @@ from operator import itemgetter
 from typing import Collection, Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet, _Counted, _parts, _reach
+from .dynamics import MorseSet, _Counted, _parts, _reach, morse_sets
 from .homology import TopologicalIndex, index_from_counts
 from .markov import ThresholdGrid, TransitionMatrix, _clip
 
@@ -90,16 +89,16 @@ class Birth(NamedTuple):
 
 @dataclass(frozen=True)
 class FiltrationResult:
-    """The swept filtration: the Morse sets at the first grid value and a `Birth` per set born, in grid order."""
+    """The swept filtration: the matrix it was swept from and a `Birth` per set born, in grid order."""
 
     grid: ThresholdGrid
     complex: StateComplex
-    base: tuple[MorseSet, ...]
+    matrix: TransitionMatrix
     births: tuple[Birth, ...]
 
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
-        """Every stage in full, replayed from the base sets and the birth log on first use."""
+        """Every stage in full, replayed from the first grid value's Morse sets and the birth log on first use."""
         return tuple(_replay(self))
 
 
@@ -110,7 +109,7 @@ def _replay(F: FiltrationResult) -> Iterator[Stage]:
     set, absorbing a set not live or twice, or taking the label of a live
     set it did not absorb raises RuntimeError naming its grid value.
     """
-    base = {m.label: m for m in F.base}
+    base = {m.label: m for m in morse_sets(F.complex, F.matrix, F.grid[0])}
     current: dict[int, MorseSet] = {}
     sets: tuple[MorseSet, ...] = ()
     index_of: dict[int, TopologicalIndex] = {}
@@ -140,8 +139,7 @@ def _replay(F: FiltrationResult) -> Iterator[Stage]:
             k += 1
         if born:
             sets = tuple(sorted(current.values(), key=lambda m: m.label))
-            kept = index_of
-            index_of = {m.label: born[m.label] if m.label in born else kept[m.label] for m in sets}
+            index_of = {m.label: born[m.label] if m.label in born else index_of[m.label] for m in sets}
         yield Stage(gamma, sets, index_of, absorbed)
     if k < len(births):  # the walk stopped at a birth that no later grid value matches
         gamma = births[k].gamma
@@ -255,7 +253,7 @@ class _Sweep:
 
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
-    """The Morse sets at P's first threshold and the log of every set born above it."""
+    """The log of every Morse set born over P's threshold grid, the first grid value's sets first."""
     X = build_complex(P)
     rows = P.entries.tolist()
     entries = sorted(
@@ -265,10 +263,8 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
         if (p := rows[a][b]) > 0.0
     )
     sweep = _Sweep(X, _parts(X, rows, 0.0))
-    base = tuple(MorseSet(label, frozenset(p.cells)) for label, p in sweep.part.items())  # none merged yet
-    births = [Birth(0.0, m.label, (), sweep.index(m.label)) for m in base]
-    values = [0.0]
-    root_of = sweep.root_of
+    births = [Birth(0.0, label, (), sweep.index(label)) for label in sweep.part]  # none merged yet
+    values, root_of = [0.0], sweep.root_of
     for gamma, v, e in entries:
         if gamma > values[-1]:  # a new grid value; every entry of the last one is applied
             if sweep.born:
@@ -278,7 +274,7 @@ def run_filtration(P: TransitionMatrix) -> FiltrationResult:
             sweep.join(root_of[e], root_of[v])
     if sweep.born:
         births += sweep.record(values[-1])
-    return FiltrationResult(ThresholdGrid(tuple(values)), X, base, tuple(births))
+    return FiltrationResult(ThresholdGrid(tuple(values)), X, P, tuple(births))
 
 
 class PersistencePoint(tuple):
@@ -290,6 +286,9 @@ class PersistencePoint(tuple):
         if not death > birth:
             raise ValueError(f"death {death!r} must exceed birth {birth!r}")
         return super().__new__(cls, (float(birth), float(death), index))
+
+    def __getnewargs__(self):  # what pickle and copy pass back to __new__
+        return tuple(self)
 
     @property
     def birth(self) -> float:

@@ -165,8 +165,8 @@ def test_property_morse_set_closures_are_connected(weights):
 
 
 def fold(F, gammas):
-    """The Morse sets and their indices at each gamma, folded from F.base and the birth log."""
-    base = {m.label: m.cells for m in F.base}
+    """The Morse sets and their indices at each gamma, folded from the first grid value's sets and the birth log."""
+    base = {m.label: m.cells for m in morse_sets(F.complex, F.matrix, F.grid[0])}
     cells, index, k = {}, {}, 0
     for gamma in gammas:
         while k < len(F.births) and F.births[k].gamma <= gamma:
@@ -219,9 +219,13 @@ class TestIncremental:
         for module in (homology, persistence):  # where the sweep would look it up
             monkeypatch.setattr(module, "topological_index", refuse, raising=False)
         monkeypatch.setattr(persistence, "_replay", refuse)
-        F = run_filtration(random_chain(RandomChainSpec(9, 0.7, 4)))
+        # nor does it keep a snapshot of any stage: no MorseSet, no frozenset
+        for name in ("MorseSet", "frozenset"):
+            monkeypatch.setattr(persistence, name, refuse, raising=False)
+        P = random_chain(RandomChainSpec(9, 0.7, 4))
+        F = run_filtration(P)
         D = build_diagram(F)
-        assert "stages" not in vars(F)
+        assert "stages" not in vars(F) and F.matrix is P
         monkeypatch.undo()
         assert len(F.stages) == len(F.grid)
         assert D == oracle.build_diagram(oracle.run_filtration(random_chain(RandomChainSpec(9, 0.7, 4))))

@@ -1,7 +1,9 @@
 """Filtration stages, containment tracking, and diagram extraction."""
 
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -10,10 +12,15 @@ from hypothesis import strategies as st
 
 from markov_morse import (
     PersistenceDiagram,
+    PerturbationSpec,
+    RandomChainSpec,
     TransitionMatrix,
+    bottleneck_matching,
     build_diagram,
     diagram_from_json,
     diagram_to_json,
+    perturb,
+    random_chain,
     run_filtration,
     threshold_grid,
 )
@@ -263,6 +270,33 @@ class TestPersistencePoint:
 
     def test_infinite_death_allowed(self):
         assert math.isinf(pt(0.1, INF, 1, 1).death)
+
+
+@pytest.fixture(scope="module")
+def results():
+    """A chain, its filtration, its diagram, one point and a matching against a perturbed chain."""
+    P = random_chain(RandomChainSpec(12, 0.7, seed=3))
+    F = run_filtration(P)
+    D = build_diagram(F)
+    M = bottleneck_matching(D, build_diagram(run_filtration(perturb(P, PerturbationSpec(1, 2, 0.01)))))
+    assert M.pairs
+    return {"P": P, "F": F, "D": D, "point": D.points[0], "matching": M}
+
+
+@pytest.mark.parametrize("name", ["P", "F", "D", "point", "matching"])
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_results_pickle_and_copy(results, name, round_trip):
+    original = results[name]
+    copied = round_trip(original)
+    assert copied == original and repr(copied) == repr(original)
+    if name == "F":  # the copy replays and follows its tracks as the original does
+        stages = [(s.morse_sets, s.index_of, s.absorbed) for s in copied.stages]
+        assert stages == [(s.morse_sets, s.index_of, s.absorbed) for s in original.stages]
+        assert build_diagram(copied) == results["D"]
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
