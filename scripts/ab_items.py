@@ -2,12 +2,13 @@
 
 Usage, from the repository root:
 
-    python3 scripts/ab_items.py PARENT_DIR CHANGE_DIR WORKLOAD SECONDS
+    python3 scripts/ab_items.py PARENT_DIR CHANGE_DIR WORKLOAD SECONDS [SEED]
 
 Each directory is a full checkout. The script loads each checkout's
 `src/markov_morse` into this one process, as the packages `parent_markov_morse`
 and `change_markov_morse`, and builds each side's inputs from WORKLOAD's pool
-at seed 1 with this checkout's `benchmark/workloads.py`, which it only reads.
+at SEED (default 1; 2 is the held-out reference seed) with this checkout's
+`benchmark/workloads.py`, which it only reads.
 After one untimed call per side, it cycles through the pool for SECONDS. Per
 item both sides make the workload's call, and the side that went first goes
 second on the next item. Each call is timed as `benchmark/run.py` times an
@@ -46,10 +47,11 @@ def load(name: str, path: Path, package: bool = False):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 4:
+    if len(argv) not in (4, 5):
         print(__doc__, file=sys.stderr)
         return 1
     parent, change, workload, seconds = Path(argv[0]), Path(argv[1]), argv[2], float(argv[3])
+    seed = int(argv[4]) if len(argv) == 5 else SEED
     sys.path.insert(0, str(ROOT / "benchmark"))  # run.py imports its siblings by name
     runner = load("ab_benchmark_run", ROOT / "benchmark" / "run.py")
     W = runner.WORKLOADS[workload]
@@ -58,7 +60,7 @@ def main(argv: list[str]) -> int:
         side: load(f"{side}_markov_morse", d / "src" / "markov_morse", package=True)
         for side, d in zip(SIDES, (parent, change))
     }
-    inputs = {side: W.inputs(mm, SEED, size) for side, mm in libs.items()}
+    inputs = {side: W.inputs(mm, seed, size) for side, mm in libs.items()}
     for side, mm in libs.items():
         W.call(mm, inputs[side][0])  # warm-up
 
@@ -84,7 +86,7 @@ def main(argv: list[str]) -> int:
             times[side].append(result[side][0])
         won[min(SIDES, key=lambda side: result[side][0])] += 1
         item += 1
-    print(f"{workload}: {item} items a side, every summary equal")
+    print(f"{workload} at seed {seed}: {item} items a side, every summary equal")
     for side in SIDES:
         p50 = statistics.median(times[side])
         rate = len(times[side]) / sum(times[side])

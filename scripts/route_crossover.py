@@ -14,10 +14,11 @@ alternately in this one process on the same classes, after one untimed
 round: the line route only on one-birth pairs. Per round the order of the
 routes is reversed. A row gives the median over ROUNDS rounds of the
 milliseconds per call, for the distance alone and for the reported
-matching, and each route's tracemalloc peak for the matching, taken in one
-extra untimed call. Small classes are timed over several calls per round,
-so each round lasts at least a few milliseconds. Every call's distance and
-pairs are checked to be the same on every route.
+matching, each route's number of radius probes, and its tracemalloc peak
+for the matching, taken in one extra untimed call. Small classes are timed
+over several calls per round, so each round lasts at least a few
+milliseconds. Every call's distance and pairs are checked to be the same
+on every route.
 """
 
 from __future__ import annotations
@@ -82,6 +83,20 @@ def per_call_ms(route, A, B, report: bool, calls: int) -> tuple[float, tuple]:
     return (time.perf_counter() - start) * 1e3 / calls, result
 
 
+def probes(route, A, B) -> int:
+    """The radii `_radius` probes on the class by the route."""
+    count = 0
+
+    class Counted(route):
+        def probe(self, eps):
+            nonlocal count
+            count += 1
+            return super().probe(eps)
+
+    _radius(Counted(A, B))
+    return count
+
+
 def traced_peak_mb(route, A, B) -> float:
     tracemalloc.start()
     try:
@@ -107,9 +122,12 @@ def row(points: int, near: bool, one_birth: bool) -> str:
                 if r >= 0:
                     ms[name, report].append(t)
     med = {key: f"{statistics.median(values):.3g}" for key, values in ms.items()}
+    probed = {name: str(probes(ROUTES[name], A, B)) for name in routes}
     peak = {name: f"{traced_peak_mb(ROUTES[name], A, B):.3g}" for name in routes}
     cells = [
-        *(med.get((name, report), "-") for report in (False, True) for name in ROUTES),
+        *(med.get((name, False), "-") for name in ROUTES),
+        *(probed.get(name, "-") for name in ROUTES),
+        *(med.get((name, True), "-") for name in ROUTES),
         *(peak.get(name, "-") for name in ROUTES),
     ]
     pair = ("near" if near else "independent") + (", one birth" if one_birth else "")
@@ -117,9 +135,9 @@ def row(points: int, near: bool, one_birth: bool) -> str:
 
 
 def main() -> int:
-    print("| points a side | pair | d_B | distance ms, dense | windowed | line | matching ms, dense | windowed | line "
-          "| peak MB, dense | windowed | line |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
+    print("| points a side | pair | d_B | distance ms, dense | windowed | line | probes, dense | windowed | line "
+          "| matching ms, dense | windowed | line | peak MB, dense | windowed | line |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for points in SIZES:
         for one_birth in (False, True):
             for near in (True, False):

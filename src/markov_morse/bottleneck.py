@@ -26,18 +26,30 @@ Per class, the finite points A and B take one of four routes:
   a radius by two greedy passes over the sorted deaths; see `_Line`. The
   large classes of the pipeline's diagrams take it: all their points are
   born at 0.0.
-- The radius, one search for the last three routes. The optimum is the
-  smallest feasible candidate radius: an entry of D or a half-persistence.
-  No radius below the largest cheapest way out of a single point (its
-  nearest partner or the diagonal) is feasible, and that bound is itself a
-  candidate, probed first. The dense route reads it off D's row and column
-  minima; on the other two each point's cost to its nearest partners in
-  death bounds its way out, so one pass of row and column minima over the
-  windows at the largest such bound gives it exactly. An exponential search
-  from it, capped by the largest half-persistence (which is always
-  feasible), finds the highest infeasible and the lowest feasible radius.
-  Only the candidates between the two are sorted, and a binary search over
-  them finds the smallest feasible one.
+- The radius. The optimum is the smallest feasible candidate radius: an
+  entry of D or a half-persistence. No radius below the largest cheapest
+  way out of a single point (its nearest partner or the diagonal) is
+  feasible, and that bound is itself a candidate, probed first. The dense
+  route reads it off D's row and column minima; on the other two each
+  point's cost to its nearest partners in death bounds its way out, so one
+  pass of row and column minima over the windows at the largest such bound
+  gives it exactly.
+- The dense route climbs from there by Hall-violator jumps (the threshold
+  idea of Gabow & Tarjan, J. Algorithms 9, 1988). A one-sided check that
+  fails ends on a maximum matching, and its last breadth-first pass reached
+  from the free far points a set Z_L of far points and the set Z_R of all
+  their neighbours, with |Z_R| < |Z_L| (König). Below the smallest of
+  Z_L's half-persistences and its entries of D outside Z_R, every point of
+  Z_L stays far and gains no neighbour, so Hall's condition still fails:
+  that value is a candidate above the radius probed and at most the
+  optimum, and is probed next. The first feasible probe is the optimum; no
+  candidate is sorted.
+- The windowed and line routes never hold D whole, so they keep a bracket
+  search: an exponential search from the lower bound, capped by the
+  largest half-persistence (which is always feasible), finds the highest
+  infeasible and the lowest feasible radius. Only the candidates between
+  the two are sorted, and a binary search over them finds the smallest
+  feasible one.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
   exists iff some matching in the graph {D <= eps} covers every far point
@@ -55,8 +67,10 @@ Per class, the finite points A and B take one of four routes:
   fixes which pairs are reported and in what order; this run keeps every
   breadth-first layer, as the oracle's does. The near B points and the
   slots are each one int or sequence that every slot row shares, so no slot
-  row is copied; a windowed or line class's rows also share one int object
-  per B point. `bottleneck_distance` stops at the radius.
+  row is copied, and on the dense route the slot rows' greedy pass is one
+  step; a windowed or line class's rows also share one int object per B
+  point. A matched pair's cost is read off D's entries as `_linf` rounds
+  them. `bottleneck_distance` stops at the radius.
 - Where death - birth overflows, a half-persistence is death / 2.0 -
   birth / 2.0, so finite diagrams keep a finite distance.
 
@@ -72,8 +86,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterator, Sequence
-from functools import reduce
-from itertools import chain
+from functools import partial, reduce
+from itertools import chain, repeat
 from operator import or_
 from typing import NamedTuple
 
@@ -467,6 +481,12 @@ class _Class:
             self.E, self.read_at = None, eps  # the smaller set is freed before the larger one is read
         return eps if self._cover(0, eps) and self._cover(1, eps) else None
 
+    def costs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """D at the pairs (A[u], B[v]) of the index arrays u and v, as `_linf` rounds it."""
+        i, j = np.argsort(self.order_a)[u], np.argsort(self.order_b)[v]
+        with np.errstate(over="ignore"):
+            return np.maximum(np.abs(self.birth_a[i] - self.birth_b[j]), np.abs(self.death_a[i] - self.death_b[j]))
+
     def values(self) -> np.ndarray:
         """Every entry of D at most the largest radius probed."""
         return self._edges().val
@@ -547,24 +567,28 @@ def _slot_pairs(
     # the left, B's points then one slot per A point on the right
     adj = [(row, slots) if h <= eps else (row,) for row, h in zip(rows, half_a)]
     adj.extend([(near_b, slots)] * nb)
-    match = _bit_hopcroft_karp if isinstance(c, _Dense) else _hopcroft_karp  # the one for the rows' form
-    match_left = match(adj, na + nb, shared=(near_b, slots))
-    pairs = []
-    for u, v in enumerate(match_left):
-        if u < na and v < nb:
-            a, b = A[u], B[v]
-            pairs.append(MatchPair(a, b, max(abs(a[0] - b[0]), abs(a[1] - b[1]))))
-        elif u < na:
-            pairs.append(MatchPair(A[u], None, half_a[u]))
-        elif v < nb:
-            pairs.append(MatchPair(None, B[v], half_b[v]))
-    return pairs
+    if isinstance(c, _Dense):  # the routine for the rows' form
+        match_left, _ = _bit_hopcroft_karp(adj, na + nb, (near_b, slots))
+    else:
+        match_left = _hopcroft_karp(adj, na + nb, (near_b, slots))
+    # A's points in order, each with its partner in B or the diagonal, then the B points slots absorb
+    right = np.array(match_left[:na], dtype=np.intp)
+    to_b = (right < nb).nonzero()[0]
+    cost = np.array(half_a, dtype=float)
+    cost[to_b] = c.costs(to_b, right[to_b])
+    partner = B + [None] * na
+    absorbed = [v for v in match_left[na:] if v < nb]
+    pair = partial(tuple.__new__, MatchPair)
+    return [
+        *map(pair, zip(A, map(partner.__getitem__, match_left[:na]), cost.tolist())),
+        *map(pair, zip(repeat(None), map(B.__getitem__, absorbed), map(half_b.__getitem__, absorbed))),
+    ]
 
 
 def _bits(x: int) -> list[int]:
     """The positions of x's set bits, ascending, in time linear in x's length."""
     data = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(data, bitorder="little")).tolist()
+    return np.unpackbits(data, bitorder="little").nonzero()[0].tolist()
 
 
 def _bit_rows(within: np.ndarray) -> list[int]:
@@ -576,22 +600,49 @@ def _bit_rows(within: np.ndarray) -> list[int]:
 
 def _bit_hopcroft_karp(
     adj: list[tuple[int, ...]], n_right: int, shared: tuple[int, ...] = (), all_layers: bool = True
-) -> list[int]:
+) -> tuple[list[int], int]:
     """`_hopcroft_karp` on rows of ints, bit v for right node v, whose scan order is ascending.
 
     A row's ints cover ascending, disjoint ranges of right nodes, and rows
     may share the ints in shared. Each step is a few operations on whole ints:
     the greedy pass takes the lowest bit of part & free, or a shared int's
-    lowest free bit from the list of its bits; a breadth-first layer ORs its
-    distinct ints less the nodes reached; the depth-first search from layer
-    t - 1 takes the lowest bit of part & (free | at[t]) above the last it
-    took, where at[t] holds the right nodes whose partner is at layer t.
+    lowest free bit from the list of its bits, and a run of consecutive rows
+    that are one tuple takes the free bits of its parts in one step, as many
+    as it has rows; a breadth-first layer ORs its distinct ints less the
+    nodes reached; the depth-first search from layer t - 1 takes the lowest
+    bit of part & (free | at[t]) above the last it took, where at[t] holds
+    the right nodes whose partner is at layer t.
+
+    Returns match_left and, when a left node stays free, the right nodes the
+    last breadth-first pass reached as an int: those alternating-reachable
+    from the free left nodes. It is 0 when every left node is matched.
     """
-    match_left = [-1] * len(adj)
+    n_left = len(adj)
+    match_left = [-1] * n_left
     match_right = [-1] * n_right
     free = (1 << n_right) - 1
     rest = {id(part): _bits(part)[::-1] for part in shared}  # a shared int's bits, lowest last
-    for u, row in enumerate(adj):
+    u = 0
+    while u < n_left:
+        row, end = adj[u], u + 1
+        while end < n_left and adj[end] is row:
+            end += 1
+        if end - u > 1:
+            # rows that share one tuple take, in turn, the free bits of its first part ascending, then the next's
+            for part in row:
+                x = part & free
+                if not x:
+                    continue
+                taken = _bits(x)[: end - u]
+                free ^= x & ((2 << taken[-1]) - 1)  # the bits of x up to the last one taken
+                match_left[u : u + len(taken)] = taken
+                for w, v in enumerate(taken, u):
+                    match_right[v] = w
+                u += len(taken)
+                if u == end:
+                    break
+            u = end
+            continue
         for part in row:
             bits = rest.get(id(part)) if rest else None
             while bits and match_right[bits[-1]] != -1:
@@ -605,6 +656,7 @@ def _bit_hopcroft_karp(
                 match_left[u], match_right[v] = v, u
                 free ^= 1 << v
                 break
+        u += 1
     while -1 in match_left:
         roots = layer = [u for u, v in enumerate(match_left) if v == -1]
         dist = [0 if v == -1 else math.inf for v in match_left]
@@ -620,7 +672,7 @@ def _bit_hopcroft_karp(
             for w in layer:
                 dist[w] = len(at) - 1
         if not found:
-            return match_left
+            return match_left, reached
         at.append(0)
         for root in roots:
             stack = [(root, 0, -1)]  # stack[k]: a node at layer k, its row's part read, the last bit taken
@@ -648,12 +700,7 @@ def _bit_hopcroft_karp(
                     at[k] |= 1 << v_k
                     at[k + 1] &= ~(1 << v_k)
                 break
-    return match_left
-
-
-def _covers(within: np.ndarray) -> bool:
-    """Whether some matching in the bipartite graph within covers every row."""
-    return -1 not in _bit_hopcroft_karp(list(zip(_bit_rows(within))), within.shape[1], all_layers=False)
+    return match_left, 0
 
 
 class _Dense:
@@ -673,16 +720,33 @@ class _Dense:
             np.minimum(self.half_b, self.D.min(axis=0, initial=math.inf)).max(initial=0.0),
         )
 
-    def probe(self, eps: float) -> float | None:
-        """None when eps is infeasible, otherwise eps."""
-        within = self.D <= eps
-        if _covers(within[self.half_a > eps]) and _covers(within.T[self.half_b > eps]):
-            return eps
-        return None
+    def probe(self, eps: float) -> float:
+        """eps when it is feasible; otherwise the next candidate radius that can be, at most the optimum.
 
-    def values(self) -> np.ndarray:
-        """Every entry of D."""
-        return self.D.ravel()
+        A side's check that fails ends on a maximum matching whose last
+        breadth-first pass reached, from the free far rows, the far rows Z_L
+        and the columns Z_R: every edge of Z_L ends in Z_R, and Z_R's
+        columns are matched to Z_L's other rows, so |Z_R| < |Z_L| (König's
+        Hall violator). Below b, the smallest of Z_L's half-persistences and
+        its entries outside Z_R's columns, every row of Z_L stays far and
+        gains no column outside Z_R, so Hall's condition fails at every
+        radius in [eps, b). b is a candidate and exceeds eps, since Z_L's
+        rows are far at eps and their entries outside Z_R are above it.
+        """
+        for D, half in ((self.D, self.half_a), (self.D.T, self.half_b)):
+            far = half > eps
+            D, half = D[far], half[far]
+            match_left, reached = _bit_hopcroft_karp(list(zip(_bit_rows(D <= eps))), D.shape[1], all_layers=False)
+            if -1 in match_left:
+                in_z = np.zeros(D.shape[1] + 1, bool)  # Z_R, then True for a free row's partner -1
+                in_z[_bits(reached)] = in_z[-1] = True
+                z_l = in_z[match_left]
+                return min(D[z_l][:, ~in_z[:-1]].min(initial=math.inf), half[z_l].min())
+        return eps
+
+    def costs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """D at the pairs (A[u], B[v]) of the index arrays u and v."""
+        return self.D[u, v]
 
     def rows(self, eps: float) -> tuple[list[int], int, int, list[float], list[float]]:
         """As `_Class.rows`, with each row, the near B points and the slots an int, bit j for node j."""
@@ -692,11 +756,15 @@ class _Dense:
 
 
 def _radius(c: _Dense | _Class) -> float:
-    """The smallest feasible candidate radius: the lower bound, or a search of the bracket above it."""
+    """The smallest feasible candidate radius: the lower bound, or the jumps or bracket search above it."""
+    r = c.lower()
+    if isinstance(c, _Dense):
+        while (bound := c.probe(r)) != r:
+            r = bound
+        return float(r)
     halves = np.concatenate((c.half_a, c.half_b))
     cap = halves.max()
     unit = halves[halves > 0].min(initial=cap)
-    r = c.lower()
     found = c.probe(r)
     if found is not None:
         return float(r)

@@ -6,6 +6,7 @@ chain's cells by state indices (`E` is the oracle's `edge` on
 """
 
 import itertools
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -42,12 +43,17 @@ def worked_complex(worked_matrix):
 
 @pytest.fixture
 def bounded_search(monkeypatch):
-    """Fail a bottleneck radius search at its 201st probe, on every route, instead of letting it run on."""
-    probes = itertools.count(1)
+    """Fail a bottleneck radius search at its 201st probe, on every route, instead of letting it run on.
+
+    Returns a Counter of the probes by route name; a line probe also counts as a windowed one.
+    """
+    probes, counts = itertools.count(1), Counter()
     for route in (bottleneck._Dense, bottleneck._Class, bottleneck._Line):
 
-        def probe(self, eps, probe=route.probe):
+        def probe(self, eps, probe=route.probe, name=route.__name__):
             assert next(probes) <= 200, "the radius search probed 200 radii"
+            counts[name] += 1
             return probe(self, eps)
 
         monkeypatch.setattr(route, "probe", probe)
+    return counts

@@ -458,10 +458,22 @@ class TestProbesAgainstOracle:
         assert (found is None) == (oracle_feasible(A, B, r) is None)
         assert found is None or found == r
 
+    def check_dense(self, c, radii, feasible, optimum, r):
+        """The dense probe at r: r when r is feasible, otherwise a candidate b that no radius in [r, b) reaches."""
+        b = c.probe(r)
+        if feasible[r]:
+            assert b == r
+            return b
+        assert b > r
+        assert b in feasible  # a candidate
+        assert b <= optimum
+        assert not any(feasible[x] for x in radii if r <= x < b)
+        return b
+
     def test_tie_heavy_classes(self):
         # the first half of `test_tie_heavy_small_pairs`' pool, which keeps this test near 2 s
         pool, rng = random.Random(2017), random.Random(1990)
-        probed = 0
+        probed = jumps = skips = 0
         for _ in range(600):
             groups1, groups2 = map(bottleneck._by_class, tie_heavy_pair(pool))
             for k in groups1.keys() | groups2.keys():
@@ -472,8 +484,16 @@ class TestProbesAgainstOracle:
                     {(p.death - p.birth) / 2.0 for p in A + B}
                     | {max(abs(a.birth - b.birth), abs(a.death - b.death)) for a in A for b in B}
                 )
+                feasible = {r: oracle_feasible(A, B, r) is not None for r in radii}
+                optimum = oracle_matching(diag(*A), diag(*B)).distance
                 # only the dense route takes a class empty on one side
-                routes = [(bottleneck._Dense(A, B), radii)]
+                dense = bottleneck._Dense(A, B)
+                for i, r in enumerate(radii):
+                    b = self.check_dense(dense, radii, feasible, optimum, r)
+                    jumps += b != r
+                    skips += b != r and b > radii[i + 1]  # past the next candidate, where bisection would step
+                    probed += 1
+                routes = []
                 if A and B:
                     # the shuffled radii read the edges at radii below the largest one read
                     routes.append((bottleneck._Class(A, B), radii))
@@ -482,7 +502,7 @@ class TestProbesAgainstOracle:
                     for r in order:
                         self.check(c, A, B, r)
                         probed += 1
-        assert probed > 15_000
+        assert probed > 15_000 and jumps > 3_000 and skips > 500
 
     def test_one_birth_classes(self):
         rng = random.Random(1967)
@@ -495,6 +515,17 @@ class TestProbesAgainstOracle:
                 self.check(c, A, B, r)
                 probed += 1
         assert probed > 7_000
+
+
+class TestDenseJumps:
+    def test_probe_count_on_near_256_point_pairs(self, monkeypatch, bounded_search):
+        # 45 dense probes; bisecting the bracket above the lower bound took 112
+        classes = count_route(monkeypatch, bottleneck._Dense, "_Dense")
+        for seed in range(20):
+            bottleneck_distance(*synthetic_pair(seed, 256, near=True))
+        assert classes == [256 * 256] * 20
+        # each class probes its lower bound first, so a probe more than the classes is a lower bound that failed
+        assert len(classes) < bounded_search["_Dense"] <= 60
 
 
 def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
@@ -575,7 +606,8 @@ def bit_hopcroft_karp(adj, n_right, shared=(), all_layers=True):
     """`_bit_hopcroft_karp` on the list routine's rows: an int per sequence, one int object per shared one."""
     ints = {id(seq): as_int(seq) for seq in shared}
     rows = [tuple(ints[id(seq)] if id(seq) in ints else as_int(seq) for seq in row) for row in adj]
-    return _bit_hopcroft_karp(rows, n_right, tuple(ints.values()), all_layers)
+    match_left, _ = _bit_hopcroft_karp(rows, n_right, tuple(ints.values()), all_layers)
+    return match_left
 
 
 class TestHopcroftKarpAgainstOracle:
@@ -638,6 +670,25 @@ class TestBitHopcroftKarpAgainstOracle(TestHopcroftKarpAgainstOracle):
             result = _hopcroft_karp(adj, len(adj), shared=shared, all_layers=False)
             assert bit_hopcroft_karp(adj, len(adj), shared=shared, all_layers=False) == result
         assert cut > 0  # the cut does change some matchings
+
+    def test_reached_is_a_hall_violator(self):
+        # with a left node left free, the last pass's reached right nodes Z_R and the left nodes
+        # Z_L they and the free nodes make: Z_R is all of Z_L's neighbours, and |Z_R| < |Z_L|
+        rng = random.Random(1977)
+        violators = 0
+        for _ in range(300):
+            n_left, n_right = rng.randint(0, 25), rng.randint(0, 25)
+            rows = [sorted(row) for row in random_rows(rng, n_left, n_right)]
+            for all_layers in (True, False):
+                match_left, reached = _bit_hopcroft_karp([(as_int(row),) for row in rows], n_right, (), all_layers)
+                if -1 not in match_left:
+                    assert reached == 0
+                    continue
+                z_l = [u for u, v in enumerate(match_left) if v == -1 or reached >> v & 1]
+                assert reached == as_int({v for u in z_l for v in rows[u]})
+                assert reached.bit_count() < len(z_l)
+                violators += 1
+        assert violators > 100
 
 
 class TestHopcroftKarpAtMatchScale:

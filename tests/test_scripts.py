@@ -36,10 +36,28 @@ def test_route_crossover_solves_a_class_on_every_route(scripts):
     assert len(results[0][1]) >= 25
 
 
+def test_route_crossover_counts_each_routes_probes(scripts):
+    crossover = scripts("route_crossover")
+    A, B = crossover.class_pair(25, near=True, one_birth=True)
+    counts = {name: crossover.probes(route, A, B) for name, route in crossover.ROUTES.items()}
+    assert all(count >= 1 for count in counts.values())
+    row = crossover.row(25, near=True, one_birth=True)
+    assert row.count("|") == 16  # 15 columns
+    assert row.split(" | ")[6:9] == [str(counts[name]) for name in crossover.ROUTES]
+
+
 def test_ab_items_times_this_checkout_against_itself(scripts, capsys):
     root = str(SCRIPTS.parent)
     assert scripts("ab_items").main([root, root, "match", "0.2"]) == 0
-    assert "every summary equal" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "match at seed 1: " in out and "every summary equal" in out
+
+
+def test_ab_items_takes_the_held_out_seed(scripts, capsys):
+    root = str(SCRIPTS.parent)
+    assert scripts("ab_items").main([root, root, "match", "0.2", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "match at seed 2: " in out and "every summary equal" in out
 
 
 def test_bottleneck_scale_builds_the_independent_pair(scripts):
