@@ -30,19 +30,20 @@ gamma, both endpoints lie in one SCC and e with them. If neither is, e has
 no arc in and is a singleton set. Vertex ids are below edge ids, so a set
 is still labelled by its smallest cell.
 
-The same pass gives the counts of each set's index (see `homology`): its
-own vertices are its SCC's, and its mouth is the other endpoints of its
-edges whose SCC differs, or both endpoints of a singleton edge. `morse_sets`
-keeps only the cells; `persistence.run_filtration` takes the base sets of
-its sweep with their counts from the one private helper, `_parts`, so no
-set is read twice.
+The same pass gives each set in the form the sweep keeps it
+(`persistence`): its own vertices as the bits of one int, its edge count,
+and its mouth bits, the other endpoints of its edges whose SCC differs. An
+edge with an arc in lies in the set of its tail, its anchor; one with none
+is a lone set, mouth both endpoints. The entries above gamma, which a sweep
+from gamma applies, are read in the same loop. This one gamma-0 pass,
+`_sets`, serves both `morse_sets`, which reads the cells back off the roots
+and anchors, and `persistence.run_filtration`, which lists no cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .cells import StateComplex
 from .homology import _counts
@@ -119,51 +120,56 @@ def morse_sets(X: StateComplex, P: TransitionMatrix, gamma: float) -> tuple[Mors
     alone (see the module docstring).
     """
     check_gamma(gamma)
-    parts = _parts(X, P.entries.tolist(), gamma)
-    return tuple(MorseSet(label, frozenset(cells)) for label, cells, _, _ in parts)
+    root, anchor, part, _ = _sets(X, P.entries.tolist(), gamma)
+    cells: dict[int, list[int]] = {label: [] for label in part}
+    for c, a in enumerate([*range(X.n), *anchor]):  # a vertex is its own anchor
+        if a < 0:  # a lone edge; edge labels exceed vertex labels, so the order holds
+            cells[c] = [c]
+        else:
+            cells[root[a]].append(c)
+    return tuple(MorseSet(label, frozenset(c)) for label, c in cells.items())
 
 
-_Counted = tuple[int, list[int], int, set[int]]  # (label, cells, own vertex count, mouth) of one Morse set
+def _sets(X: StateComplex, rows: list[list[float]], gamma: float) -> tuple[list[int], list[int], dict, list]:
+    """The Morse sets at gamma as (root, anchor, part), and the entries above gamma, without listing a cell.
 
-
-def _parts(X: StateComplex, rows: list[list[float]], gamma: float) -> list[_Counted]:
-    """Each Morse set at gamma as (label, cells, own vertex count, mouth), sorted by label.
-
-    `rows` are P's entries as lists. The mouth of a set is the endpoints of
-    its edges that lie outside it; an edge's other endpoint is outside
-    exactly when its SCC differs from the tail's, and a lone edge's mouth
-    is both endpoints. So the counts of the index (see `homology`) come out
-    of the same pass that finds the sets.
+    `rows` are P's entries as lists. `root[v]` is the label of vertex v's
+    set, its smallest vertex. `anchor[r]` is the tail of the edge of rank r
+    (cell X.n + r), in whose set it lies, or -1 if it is a lone set. `part`
+    maps each label of a set with vertices to [vertex bits, edge count,
+    mouth bits], in label order. The entries p_vw above gamma come as
+    (p_vw, v, r), unsorted.
     """
     adj: list[list[int]] = [[] for _ in range(X.n)]  # the state digraph
-    attached: list[tuple[int, int, int]] = []  # (v, w, e): one arc v -> e into an edge e = {v, w} that has one
-    singles: list[_Counted] = []  # the edges with no arc in
-    for e, (i, j) in enumerate(X.edges, start=X.n):
+    anchor: list[int] = []
+    above: list[tuple[float, int, int]] = []
+    for r, (i, j) in enumerate(X.edges):
         a, b = i - 1, j - 1  # cells of states i, j
-        if rows[a][b] <= gamma:
+        p, q = rows[a][b], rows[b][a]
+        if p <= gamma:
             adj[a].append(b)
-            if rows[b][a] <= gamma:
-                adj[b].append(a)
-            attached.append((a, b, e))
-        elif rows[b][a] <= gamma:
-            adj[b].append(a)
-            attached.append((b, a, e))
+            anchor.append(a)
         else:
-            singles.append((e, [e], 0, {a, b}))
-    comps = _tarjan_scc(adj)
-    comp_of = [0] * X.n
-    for k, comp in enumerate(comps):
+            above.append((p, a, r))
+            anchor.append(b if q <= gamma else -1)
+        if q <= gamma:
+            adj[b].append(a)
+        else:
+            above.append((q, b, r))
+    root = [0] * X.n
+    part: dict[int, list[int]] = {}
+    for comp in sorted(_tarjan_scc(adj), key=min):
+        part[label := min(comp)] = [sum(1 << v for v in comp), 0, 0]
         for v in comp:
-            comp_of[v] = k
-    parts = [(min(comp), comp, len(comp), set()) for comp in comps]
-    for v, w, e in attached:
-        k = comp_of[v]
-        _, cells, _, mouth = parts[k]
-        cells.append(e)
-        if comp_of[w] != k:
-            mouth.add(w)
-    parts.sort(key=itemgetter(0))
-    return parts + singles  # edge labels exceed vertex labels
+            root[v] = label
+    for (i, j), a in zip(X.edges, anchor):
+        if a >= 0:
+            p = part[root[a]]
+            p[1] += 1
+            w = i + j - 2 - a  # the other endpoint
+            if root[w] != root[a]:
+                p[2] |= 1 << w
+    return root, anchor, part, above
 
 
 def _reach(start: int, arcs: dict[int, set[int]]) -> set[int]:

@@ -50,4 +50,4 @@ def _counts(X: StateComplex, cells: frozenset[int]) -> tuple[int, int, set[int]]
 
 def index_from_counts(excess: int, mouth: int) -> TopologicalIndex:
     """The index of a Morse set with `excess` = |E| - |V_M| and `mouth` mouth vertices."""
-    return TopologicalIndex(excess - mouth + 1, excess + (not mouth))
+    return tuple.__new__(TopologicalIndex, (excess - mouth + 1, excess + (not mouth)))  # skips a Python-level call

@@ -4,7 +4,7 @@ Raising gamma past an entry p_ij merges vertex i into the multivector of an
 incident edge e, so the fields over the grid form a coarsening chain and
 each Morse set at one stage sits inside exactly one Morse set at the next.
 `run_filtration` makes one pass over the sorted positive directed entries,
-starting from `morse_sets` at gamma 0; a zero entry is already inside a
+starting from the Morse sets at gamma 0; a zero entry is already inside a
 Morse set and changes nothing. Every positive off-diagonal entry lies on an
 edge, so the grid is 0 followed by the distinct values of that sorted list,
 the same as `threshold_grid`, and the pass reads it off as it goes. All
@@ -15,21 +15,25 @@ field at a stage is `build_mvf(F.complex, F.matrix, stage.gamma)`.
 
 Applying the entry of vertex v and edge e adds the arc v -> e to the cell
 digraph (see `dynamics`), and the arc e -> v exists already. So the sets
-that become one are exactly those on a path SCC(e) ~> W ~> SCC(v). The
-arcs out of a set end in its mouth, which the set keeps for its index
-anyway, and v is in the mouth of SCC(e). When SCC(v) is the only set below
-SCC(e), every path from SCC(e) starts with the arc into SCC(v), and a
-longer path on to SCC(v) would be a cycle of the condensation, which has
-none: the two sets alone become one, and nothing is searched. That is most
-merges. Otherwise a forward search from SCC(e) through the mouths finds the
-sets below it, and a search back from SCC(v) inside that cone finds the
-ones on a path. They are contracted into one node; every other set, its
-index and its track carry over unchanged. The contraction keeps the storage
-of the heaviest part and moves only the lighter parts', and it keeps the
-three counts of the index (see `homology`) up to date, so no set is
-re-read. The base sets come with their counts from the pass that finds them
-(`dynamics._parts`), and a born set takes its `TopologicalIndex` from a
-table kept for one sweep, so sets with equal indices share one object.
+that become one are exactly those on a path SCC(e) ~> W ~> SCC(v). A set's
+index (see `homology`) and its arcs in the condensation DAG depend only on
+its own vertices, its edge count and its mouth, so each live set is kept
+as vertex bits (an int, bit v for vertex v), an edge count and mouth bits.
+The arcs out of a set end in its mouth, and v is in the mouth of SCC(e).
+When mouth(SCC(e)) & ~vertices(SCC(v)) == 0, every path from SCC(e) starts
+with the arc into SCC(v), and a longer path on to SCC(v) would be a cycle
+of the condensation, which has none: the two sets alone become one, and
+nothing is searched. That is most merges, mostly a lone edge with both
+endpoints in one set. Otherwise a depth-first search from SCC(e) through
+the mouth bits lists its cone in postorder, and one pass over that order
+picks the sets that reach SCC(v). A merge ORs their vertex bits and adds
+their edge counts; its mouth is the OR of theirs less its vertices, exact
+since an endpoint inside the union is in no mouth of it. Every other set,
+its index and its track carry over. The index counts are (edges -
+popcount(vertices), popcount(mouth)); a born set takes its
+`TopologicalIndex` from a table kept for one sweep, so sets with equal
+indices share one object. The base sets and the entries come in this form
+from the pass that finds the sets (`dynamics._sets`).
 
 The result keeps P and a flat log of one `Birth` (grid value, label,
 lineage, index) per Morse set born, base sets first: all `build_diagram`
@@ -48,11 +52,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
-from typing import Collection, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cells import StateComplex, build_complex
-from .dynamics import MorseSet, _Counted, _parts, _reach, morse_sets
+from .dynamics import MorseSet, _sets, morse_sets
 from .homology import TopologicalIndex, index_from_counts
 from .markov import ThresholdGrid, TransitionMatrix, _clip
 
@@ -147,20 +152,6 @@ def _replay(F: FiltrationResult) -> Iterator[Stage]:
         raise RuntimeError(f"lineage at gamma={gamma} has a birth {where}")
 
 
-class _Part:
-    """The storage of one Morse set in the sweep: its label, its cells and the counts of its index."""
-
-    __slots__ = ("label", "cells", "vertices", "mouth")
-
-    def __init__(self, label: int, cells: list[int], vertices: int, mouth: set[int]):
-        self.label, self.cells, self.vertices, self.mouth = label, cells, vertices, mouth
-
-    @property
-    def weight(self) -> int:
-        """Cells plus mouth: what moving this storage into another costs."""
-        return len(self.cells) + len(self.mouth)
-
-
 class _Indices(dict):
     """(|E| - |V_M|, mouth size) -> the index of a set with those counts, one object per key for one sweep."""
 
@@ -172,108 +163,111 @@ class _Indices(dict):
 class _Sweep:
     """The condensation DAG of the cell digraph, coarsened one arc v -> e at a time.
 
-    Each node is a storage root: the label a Morse set had at the first
-    grid value, and `root_of` maps every cell to the root of its set. The
-    set's current label (smallest cell) is in its `_Part`. The arcs of the
-    DAG are not stored: the sets below a set are those that hold a vertex
-    of its mouth. A contraction keeps the root and storage of its heaviest
-    part, weighed by cells plus mouth, and moves only the lighter parts'
-    cells and mouths into it (small into large), relabelling just the cells
-    it moves.
+    Each node is a storage root, one vertex of its set, and `part` maps it
+    to the set's [vertex bits, edge count, mouth bits]. `root` maps each
+    vertex to its root, and an edge lies in the set of its `anchor` vertex,
+    or alone while that is -1 (`root[-1]` is -1). A lone edge is stored at
+    its own cell only while it joins. The arcs of the DAG are not stored:
+    the sets below a set are those that hold a vertex of its mouth.
     """
 
-    def __init__(self, X: StateComplex, parts: list[_Counted]):
-        self.root_of = root_of = [0] * X.cell_count
-        self.part: dict[int, _Part] = {}
-        for label, cells, vertices, mouth in parts:
-            self.part[label] = _Part(label, cells, vertices, mouth)
-            for c in cells:
-                root_of[c] = label
+    def __init__(self, X: StateComplex, root: list[int], anchor: list[int], part: dict[int, list[int]]):
+        self.root, self.anchor, self.part, self.X = root, anchor, part, X
         self.born: dict[int, list[int]] = {}  # root -> previous-stage labels
-        self.indices = _Indices()
 
-    def join(self, top: int, bottom: int) -> None:
-        """Add an arc from the set `bottom` into the set `top`, one of its successors.
+    def join(self, v: int, r: int) -> None:
+        """Add the arc v -> e into the edge e = {v, w} of rank r from v's set, which does not hold e.
 
-        When `bottom` is top's only successor the two sets alone merge (see
-        the module docstring); otherwise top's forward cone is searched.
+        The sets on a path from e's set (top) to v's (bottom) become one,
+        stored at the root of the part with most vertices: only the other
+        parts' vertices are relabelled. Its mouth is the parts' mouths less
+        its vertices, as an endpoint inside the union is in no mouth of it.
         """
-        root_of, part = self.root_of, self.part
-        below = {root_of[c] for c in part[top].mouth}
-        if len(below) == 1:  # every path top ~> bottom is the one arc top -> bottom
-            self._contract(top if part[top].weight >= part[bottom].weight else bottom, (top, bottom))
-            return
-        # top's forward cone with its arcs reversed; it holds bottom, and the
-        # sets on a path top ~> bottom are those that bottom reaches in it
-        above: dict[int, set[int]] = {top: set()}
-        stack = [top]
-        while stack:
-            x = stack.pop()
-            for w in {root_of[c] for c in part[x].mouth}:
-                if w not in above:
-                    above[w] = set()
-                    stack.append(w)
-                above[w].add(x)
-        merged = _reach(bottom, above)
-        self._contract(max(merged, key=lambda r: part[r].weight), merged)
-
-    def _contract(self, keep: int, merged: Collection[int]) -> None:
-        """Replace the sets `merged`, a strongly connected group now, by their union stored at `keep`.
-
-        Each lighter part is moved in on its own: a mouth vertex in a part
-        not moved yet is dropped when that part's cells are.
-        """
-        part, root_of, born = self.part, self.root_of, self.born
+        part, root, anchor, born = self.part, self.root, self.anchor, self.born
+        bottom, top, anchor[r] = root[v], root[anchor[r]], v  # v's set holds e from now on
+        if top < 0:  # a lone edge: no vertex, one edge, both endpoints in its mouth
+            i, j = self.X.edges[r]
+            top, w = self.X.n + r, i + j - 2 - v
+            into = part[bottom]
+            if into[0] >> w & 1:  # bottom is its only successor: e joins bottom's set, and nothing moves
+                into[1] += 1
+                born[bottom] = (born.pop(bottom, None) or [(into[0] & -into[0]).bit_length() - 1]) + [top]
+                return
+            part[top] = [0, 1, (1 << v) | (1 << w)]
+        if part[top][2] & ~part[bottom][0]:  # a second set below top
+            merged = self._cone(top, bottom)
+        else:  # bottom is top's only successor: every path top ~> bottom is the one arc
+            merged = [bottom, top]
+        keep = max(merged, key=lambda x: part[x][0].bit_count())
         into = part[keep]
-        parts = born.pop(keep, [into.label])
-        for r in merged:
-            if r == keep:
-                continue
-            light = part.pop(r)
-            for c in light.cells:
-                root_of[c] = keep
-            if light.label < into.label:
-                into.label = light.label
-            into.cells += light.cells
-            into.vertices += light.vertices
-            into.mouth.difference_update(light.cells)
-            into.mouth.update(x for x in light.mouth if root_of[x] != keep)
-            parts += born.pop(r, (light.label,))
+        vertices, edges, mouth = into
+        parts = born.pop(keep, None) or [(vertices & -vertices).bit_length() - 1]
+        for x in merged:
+            if x != keep:
+                bits, count, m = part.pop(x)
+                parts += born.pop(x, None) or [(bits & -bits).bit_length() - 1 if bits else x]
+                vertices, edges, mouth = vertices | bits, edges + count, mouth | m
+                while bits:
+                    low = bits & -bits
+                    root[low.bit_length() - 1] = keep
+                    bits ^= low
+        into[:] = vertices, edges, mouth & ~vertices
         born[keep] = parts
 
-    def index(self, root: int) -> TopologicalIndex:
-        """The index of the set stored at `root`, from its counts (see `homology`)."""
-        p = self.part[root]
-        return self.indices[len(p.cells) - 2 * p.vertices, len(p.mouth)]
+    def _cone(self, top: int, bottom: int) -> list[int]:
+        """The sets on a path top ~> bottom, bottom first and top last.
 
-    def record(self, gamma: float) -> list[Birth]:
-        """The sets born since the last record, each with its lineage and index."""
-        born, self.born = self.born, {}
-        return [Birth(gamma, self.part[r].label, tuple(sorted(p)), self.index(r)) for r, p in born.items()]
+        A depth-first search from top through the mouths, not past bottom,
+        lists the cone in postorder, every set after the sets below it. One
+        pass over that order keeps a set iff its mouth meets the vertices
+        of the sets kept so far.
+        """
+        root, part = self.root, self.part
+        seen, post, stack = {top, bottom}, [], [[top, part[top][2]]]
+        while stack:
+            frame = stack[-1]
+            x, mouth = frame
+            while mouth:
+                w = root[(mouth & -mouth).bit_length() - 1]
+                mouth &= ~part[w][0]  # w's other mouth vertices lead to w again
+                if w not in seen:
+                    seen.add(w)
+                    frame[1] = mouth
+                    stack.append([w, part[w][2]])
+                    break
+            else:
+                stack.pop()
+                post.append(x)
+        reached, merged = part[bottom][0], [bottom]
+        for x in post:
+            if part[x][2] & reached:
+                reached |= part[x][0]
+                merged.append(x)
+        return merged
 
 
 def run_filtration(P: TransitionMatrix) -> FiltrationResult:
     """The log of every Morse set born over P's threshold grid, the first grid value's sets first."""
     X = build_complex(P)
-    rows = P.entries.tolist()
-    entries = sorted(
-        (p, a, e)
-        for e, (i, j) in enumerate(X.edges, start=X.n)
-        for a, b in ((i - 1, j - 1), (j - 1, i - 1))  # cells of states i, j
-        if (p := rows[a][b]) > 0.0
-    )
-    sweep = _Sweep(X, _parts(X, rows, 0.0))
-    births = [Birth(0.0, label, (), sweep.index(label)) for label in sweep.part]  # none merged yet
-    values, root_of = [0.0], sweep.root_of
-    for gamma, v, e in entries:
-        if gamma > values[-1]:  # a new grid value; every entry of the last one is applied
-            if sweep.born:
-                births += sweep.record(values[-1])
-            values.append(gamma)
-        if root_of[e] != root_of[v]:  # else v and e share a Morse set already
-            sweep.join(root_of[e], root_of[v])
-    if sweep.born:
-        births += sweep.record(values[-1])
+    root, anchor, part, entries = _sets(X, P.entries.tolist(), 0.0)
+    root.append(-1)  # the root of an edge with no anchor: no set's
+    entries.sort()
+    sweep = _Sweep(X, root, anchor, part)
+    born, indices, new = sweep.born, _Indices(), tuple.__new__
+    births = [new(Birth, (0.0, x, (), indices[k - b.bit_count(), m.bit_count()])) for x, (b, k, m) in part.items()]
+    births += [new(Birth, (0.0, X.n + r, (), indices[1, 2])) for r, a in enumerate(anchor) if a < 0]  # lone edges
+    values = [0.0]
+    for gamma, group in groupby(entries, itemgetter(0)):
+        for _, v, r in group:
+            if root[anchor[r]] != root[v]:  # else v and e share a Morse set already
+                sweep.join(v, r)
+        for x, parts in born.items():  # every entry of gamma is applied: record the sets born
+            b, k, m = part[x]
+            parts.sort()
+            index = indices[k - b.bit_count(), m.bit_count()]
+            births.append(new(Birth, (gamma, (b & -b).bit_length() - 1, tuple(parts), index)))
+        born.clear()
+        values.append(gamma)
     return FiltrationResult(ThresholdGrid(tuple(values)), X, P, tuple(births))
 
 

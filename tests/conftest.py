@@ -5,7 +5,6 @@ chain's cells by state indices (`E` is the oracle's `edge` on
 `WORKED_COMPLEX`).
 """
 
-import itertools
 from collections import Counter
 from functools import partial
 
@@ -45,14 +44,19 @@ def worked_complex(worked_matrix):
 def bounded_search(monkeypatch):
     """Fail a bottleneck radius search at its 201st probe, on every route, instead of letting it run on.
 
-    Returns a Counter of the probes by route name; a line probe also counts as a windowed one.
+    Returns a Counter of the probes by the route of the class probed: the
+    first of the routes in its type's MRO, so a test's subclass counts as
+    its route. Each `probe` is wrapped once, on the route that defines it,
+    so a route that inherits one (`_Line`) counts each probe once.
     """
-    probes, counts = itertools.count(1), Counter()
-    for route in (bottleneck._Dense, bottleneck._Class, bottleneck._Line):
+    counts, routes = Counter(), (bottleneck._Dense, bottleneck._Class, bottleneck._Line)
+    for route in routes:
+        if "probe" not in route.__dict__:
+            continue
 
-        def probe(self, eps, probe=route.probe, name=route.__name__):
-            assert next(probes) <= 200, "the radius search probed 200 radii"
-            counts[name] += 1
+        def probe(self, eps, probe=route.probe):
+            counts[next(c.__name__ for c in type(self).__mro__ if c in routes)] += 1
+            assert counts.total() <= 200, "the radius search probed 200 radii"
             return probe(self, eps)
 
         monkeypatch.setattr(route, "probe", probe)

@@ -528,6 +528,15 @@ class TestDenseJumps:
         assert len(classes) < bounded_search["_Dense"] <= 60
 
 
+def test_bounded_search_counts_a_line_probe_once(bounded_search):
+    # `_Line` inherits `probe` from `_Class`: one `_radius` on a 300-point
+    # one-birth class counts its probes under `_Line` alone, so the cap of
+    # 200 is 200 line probes
+    A, B = (list(D.points) for D in synthetic_pair(1, 300, near=True, one_birth=True))
+    bottleneck._radius(bottleneck._Line(A, B))
+    assert set(bounded_search) == {"_Line"} and bounded_search["_Line"] > 1
+
+
 def random_rows(rng: random.Random, n_left: int, n_right: int) -> list[list[int]]:
     """Each left node's distinct right neighbours, in a random scan order."""
     density = rng.choice([0.05, 0.2, 0.5, 0.9])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filtration_oracle as oracle
+import sweep_oracle
 from markov_morse import (
     RandomChainSpec,
     TransitionMatrix,
@@ -257,25 +258,33 @@ class TestIncremental:
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """Each contraction `run_filtration` makes, as (branch, number of sets merged).
+    """Each join `run_filtration` makes, as (branch, sets merged, label of the set whose storage is kept).
 
     The branch is "cone" when `join` searched top's forward cone (it called
-    `_reach`) and "one successor" when it contracted {top, bottom} at once.
+    `_cone`) and "one successor" when it merged {top, bottom} at once. The
+    sets merged are the live sets whose storage the join removed, plus the
+    edge e when it was a lone set, plus the one whose storage it changed:
+    the set kept, named by its label before the join.
     """
     log, searched = [], []
-    reach, contract = persistence._reach, persistence._Sweep._contract
+    join, cone = persistence._Sweep.join, persistence._Sweep._cone
 
-    def spy_reach(start, arcs):
-        searched.append(start)
-        return reach(start, arcs)
+    def spy_cone(self, top, bottom):
+        searched.append(top)
+        return cone(self, top, bottom)
 
-    def spy_contract(self, keep, merged):
-        log.append(("cone" if searched else "one successor", len(merged)))
+    def spy_join(self, v, r):
+        before, lone = {x: list(p) for x, p in self.part.items()}, self.anchor[r] < 0
         searched.clear()
-        return contract(self, keep, merged)
+        join(self, v, r)
+        kept = [x for x, p in self.part.items() if before.get(x) != p]
+        assert len(kept) == 1 and kept[0] in before
+        merged = len(before.keys() - self.part.keys()) + lone + 1
+        vertices = before[kept[0]][0]
+        log.append(("cone" if searched else "one successor", merged, (vertices & -vertices).bit_length() - 1))
 
-    monkeypatch.setattr(persistence, "_reach", spy_reach)
-    monkeypatch.setattr(persistence._Sweep, "_contract", spy_contract)
+    monkeypatch.setattr(persistence._Sweep, "_cone", spy_cone)
+    monkeypatch.setattr(persistence._Sweep, "join", spy_join)
     return log
 
 
@@ -290,7 +299,7 @@ class TestJoinBranches:
         assert_matches_oracle(P)
         contractions.clear()
         F = run_filtration(P)
-        assert contractions[-1] == ("one successor", 2)
+        assert contractions[-1] == ("one successor", 2, 0)  # kept: {a, b, c}
         assert F.births[-1][:3] == (0.3, 0, (0, 3))
         assert F.births[-1].index == (1, 1)
 
@@ -303,7 +312,7 @@ class TestJoinBranches:
         assert_matches_oracle(P)
         contractions.clear()
         F = run_filtration(P)
-        assert contractions[-1] == ("cone", 3)
+        assert contractions[-1] == ("cone", 3, 2)  # one vertex each: the tie goes to bottom, {c}
         assert [b[:3] for b in F.births if b.gamma == 0.3] == [(0.3, 0, (0, 1, 2))]
 
     def test_three_sets_merge_into_the_heaviest_middle_one(self, contractions):
@@ -314,7 +323,7 @@ class TestJoinBranches:
         assert_matches_oracle(P)
         contractions.clear()
         F = run_filtration(P)
-        assert contractions[-1] == ("cone", 3)
+        assert contractions[-1] == ("cone", 3, 1)  # {b, c, ac, bc}, the part with most vertices
         assert [b[:3] for b in F.births if b.gamma == 0.3] == [(0.3, 0, (0, 1, 3))]
 
 
@@ -325,14 +334,27 @@ def sweep_pool(seed: int = 1, count: int = 32):
 
 
 def assert_parts_count_as_homology(P):
-    # the counts the sweep starts from are the ones `_counts` reads off each set's cells
+    # the bit form the sweep starts from holds the sets of the frozen
+    # cell-level pass, with the counts `_counts` reads off each set's cells,
+    # and the entries it applies are the positive ones
     X = build_complex(P)
-    parts = dynamics._parts(X, P.entries.tolist(), 0.0)
-    assert [label for label, *_ in parts] == [m.label for m in morse_sets(X, P, 0.0)]
-    for label, cells, vertices, mouth in parts:
-        assert label == min(cells) and len(set(cells)) == len(cells)
-        edges, own, expected_mouth = homology._counts(X, frozenset(cells))
-        assert (len(cells) - vertices, vertices, mouth) == (edges, own, expected_mouth), f"set {label}"
+    rows = P.entries.tolist()
+    root, anchor, part, entries = dynamics._sets(X, rows, 0.0)
+    lone = [X.n + r for r, a in enumerate(anchor) if a < 0]
+    frozen = sweep_oracle._parts(X, rows, 0.0)
+    assert [*part, *lone] == [label for label, *_ in frozen]
+    for label, cells, *_ in frozen:
+        edges, own, mouth = homology._counts(X, frozenset(cells))
+        if label in lone:
+            assert cells == [label] and (edges, own, len(mouth)) == (1, 0, 2)
+            continue
+        bits, count, mouth_bits = part[label]
+        vertices = {c for c in cells if c < X.n}
+        assert {v for v in range(X.n) if root[v] == label} == vertices == {v for v in range(X.n) if bits >> v & 1}
+        assert {X.n + r for r, a in enumerate(anchor) if a >= 0 and root[a] == label} == set(cells) - vertices
+        assert (count, bits.bit_count(), {v for v in range(X.n) if mouth_bits >> v & 1}) == (edges, own, mouth)
+    directed = [(a, b, r) for r, (i, j) in enumerate(X.edges) for a, b in ((i - 1, j - 1), (j - 1, i - 1))]
+    assert sorted(entries) == sorted((rows[a][b], a, r) for a, b, r in directed if rows[a][b] > 0.0)
 
 
 def test_base_parts_count_as_homology_on_the_sweep_pool():
@@ -344,3 +366,33 @@ def test_base_parts_count_as_homology_on_the_sweep_pool():
 @given(weight_rows)
 def test_property_base_parts_count_as_homology(weights):
     assert_parts_count_as_homology(weighted_chain(weights))
+
+
+def assert_births_equal_frozen(P):
+    # the bit-form sweep logs the births of the frozen cell-level sweep, order included
+    assert run_filtration(P).births == sweep_oracle.run_filtration(P).births
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_births_equal_frozen_sweep_on_the_sweep_pools(seed):
+    for P in sweep_pool(seed):
+        assert_births_equal_frozen(P)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_births_equal_frozen_sweep_on_the_families(family):
+    for n in SIZES:
+        for seed in SEEDS:
+            assert_births_equal_frozen(FAMILIES[family](n, seed))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_births_equal_frozen_sweep_at_scale(n):
+    for density in (0.3, 0.7, 1.0):
+        assert_births_equal_frozen(random_chain(RandomChainSpec(n, density, seed=n)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(weight_rows)
+def test_property_births_equal_frozen_sweep(weights):
+    assert_births_equal_frozen(weighted_chain(weights))

@@ -2,8 +2,9 @@
 
 The scripts use private names of `markov_morse.bottleneck`, so a rename there
 fails here rather than at the next measurement. `scale_table.measure`, the
-row behind README's filtration table, runs once on a small chain, and
-`ab_items` for a moment on `match` with this checkout on both sides.
+row behind README's filtration table, runs once on a small chain, its
+two-checkout form and `ab_items` (for a moment on `match`) with this
+checkout on both sides.
 """
 
 import importlib
@@ -71,3 +72,17 @@ def test_scale_table_measures_a_small_chain(scripts):
     F = mm.run_filtration(mm.random_chain(mm.RandomChainSpec(8, 0.7, 1)))
     assert row["n"] == 8 and row["grid_values"] == len(F.grid)
     assert row["filtration_s"] > 0 and row["diagram_s"] > 0 and row["peak_mb"] > 0
+    assert 0 <= row["gc_s"] < row["filtration_s"] and row["traced_mib"] > 0
+
+
+def test_scale_table_compares_this_checkout_against_itself(scripts, capsys):
+    root = str(SCRIPTS.parent)
+    scripts("scale_table").main([root, root, "8", "12"])
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("| 8 |", "| 12 |"))]
+    assert len(rows) == 2 and all(row.count(" / ") == 3 for row in rows)
+    load = scripts("ab_items").load
+    package = SCRIPTS.parent / "src" / "markov_morse"
+    libs = {side: load(f"{side}_markov_morse", package, package=True) for side in ("parent", "change")}
+    row = scripts("scale_table").compare(libs, 8)
+    for side in ("parent", "change"):
+        assert row[side]["filtration_s"] > 0 and 0 <= row[side]["gc_s"] and row[side]["traced_mib"] > 0
