@@ -30,26 +30,24 @@ Per class, the finite points A and B take one of four routes:
   entry of D or a half-persistence. No radius below the largest cheapest
   way out of a single point (its nearest partner or the diagonal) is
   feasible, and that bound is itself a candidate, probed first. The dense
-  route reads it off D's row and column minima; on the other two each
-  point's cost to its nearest partners in death bounds its way out, so one
-  pass of row and column minima over the windows at the largest such bound
-  gives it exactly.
-- The dense route climbs from there by Hall-violator jumps (the threshold
-  idea of Gabow & Tarjan, J. Algorithms 9, 1988). A one-sided check that
-  fails ends on a maximum matching, and its last breadth-first pass reached
-  from the free far points a set Z_L of far points and the set Z_R of all
-  their neighbours, with |Z_R| < |Z_L| (König). Below the smallest of
-  Z_L's half-persistences and its entries of D outside Z_R, every point of
-  Z_L stays far and gains no neighbour, so Hall's condition still fails:
-  that value is a candidate above the radius probed and at most the
-  optimum, and is probed next. The first feasible probe is the optimum; no
-  candidate is sorted.
-- The windowed and line routes never hold D whole, so they keep a bracket
-  search: an exponential search from the lower bound, capped by the
-  largest half-persistence (which is always feasible), finds the highest
-  infeasible and the lowest feasible radius. Only the candidates between
-  the two are sorted, and a binary search over them finds the smallest
-  feasible one.
+  route reads it off D's row and column minima. On the other two each
+  point's cost to its nearest partners in death bounds its way out; on the
+  line route it is the way out, and on the windowed route one pass of row
+  and column minima over the windows at the largest such bound gives it.
+- Every route climbs from there by Hall-violator jumps (the threshold idea
+  of Gabow & Tarjan, J. Algorithms 9, 1988). A one-sided check that fails
+  ends on a maximum matching, and alternating paths from its free far
+  points reach a set Z_L of far points and the set Z_R of all their
+  neighbours, with k = |Z_L| - |Z_R| > 0 (König). As the radius grows, a
+  point of Z_L turns near at its half-persistence, and a point outside Z_R
+  becomes a neighbour at its smallest entry of D from Z_L. Hall's
+  condition fails until k of these values are reached, so the k-th
+  smallest is a candidate above the radius probed and at most the
+  optimum, and is probed next. The dense route takes the smallest value
+  of the Z_L of all its free far points. The windowed route takes the
+  largest bound of each free point's own Z_L that meets no other and of
+  all of them together; the line route reads one Z_L off its greedy pass.
+  The first feasible probe is the optimum; no candidate is listed.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
   exists iff some matching in the graph {D <= eps} covers every far point
@@ -87,7 +85,7 @@ import heapq
 import math
 from collections.abc import Iterator, Sequence
 from functools import partial, reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import or_
 from typing import NamedTuple
 
@@ -98,7 +96,6 @@ from .persistence import PersistenceDiagram, PersistencePoint
 
 _DENSE_ENTRIES = 2**16  # the largest class, as len(A) * len(B), that holds its dense D
 _BLOCK = 256  # rows of D read at a time
-_GROWTH = 2**0.5  # step of the exponential radius search
 
 
 class MatchPair(NamedTuple):
@@ -336,7 +333,7 @@ def _closed_form(A: list[PersistencePoint], B: list[PersistencePoint]) -> tuple[
 def _linf(birth_a, death_a, birth_b, death_b) -> np.ndarray:
     """D between the points a and the points b, one row per a: the l-infinity distance.
 
-    An entry that overflows to inf is above the search's cap, the largest half-persistence.
+    An entry that overflows to inf is above every half-persistence, so it is never the radius.
     """
     with np.errstate(over="ignore"):
         D = np.subtract.outer(birth_a, birth_b)
@@ -396,7 +393,15 @@ class _Class:
         # far enough past every rounding in `death - r` that a window never
         # drops an entry of D at most r
         self.slack = max(np.abs(x).max() for x in (birth_a, death_a, birth_b, death_b)) * 2.0**-40
-        self.E, self.read_at = None, -math.inf  # the edges at most the largest radius probed
+        self.E: _Edges | None = None  # the last probe's edges
+
+    def _windows(self, side: int, low: np.ndarray, high: np.ndarray, r: float) -> tuple[list[int], list[int]]:
+        """The slices of the other side that hold every entry of D at most r of rows with deaths in [low, high]."""
+        other = (self.death_b, self.death_a)[side]
+        with np.errstate(over="ignore"):  # a window past the largest float is unbounded
+            reach = r * (1 + 2.0**-40) + self.slack
+            lo, hi = np.searchsorted(other, low - reach, "left"), np.searchsorted(other, high + reach, "right")
+        return lo.tolist(), hi.tolist()
 
     def edges(self, r: float, outs: tuple[np.ndarray, np.ndarray] | None = None) -> _Edges:
         """Every entry of D at most r, read in row blocks within death windows.
@@ -407,12 +412,9 @@ class _Class:
         """
         starts = np.arange(0, len(self.death_a), _BLOCK)
         lasts = np.minimum(starts + _BLOCK, len(self.death_a)) - 1
-        with np.errstate(over="ignore"):  # a window past the largest float is unbounded
-            reach = r * (1 + 2.0**-40) + self.slack
-            lo = np.searchsorted(self.death_b, self.death_a[starts] - reach, "left")
-            hi = np.searchsorted(self.death_b, self.death_a[lasts] + reach, "right")
+        lo, hi = self._windows(0, self.death_a[starts], self.death_a[lasts], r)
         rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
-        for s, l, h in zip(starts.tolist(), lo.tolist(), hi.tolist()):
+        for s, l, h in zip(starts.tolist(), lo, hi):
             if l == h:
                 continue
             block = slice(s, s + _BLOCK)
@@ -433,53 +435,89 @@ class _Class:
         del cols
         return _Edges(row, col, np.concatenate(vals))
 
+    def nearest(self) -> float:
+        """The largest over points of the cheaper of the diagonal and its nearest partners in death."""
+        out_a = _nearest_death_cost(self.birth_a, self.death_a, self.birth_b, self.death_b)
+        out_b = _nearest_death_cost(self.birth_b, self.death_b, self.birth_a, self.death_a)
+        return max(
+            np.minimum(self.half_a, out_a).max(initial=0.0), np.minimum(self.half_b, out_b).max(initial=0.0)
+        )
+
     def lower(self) -> float:
         """The largest cheapest way out of a single point: its nearest partner or the diagonal.
 
         Below it that point stays unmatched, and it is itself a candidate
         radius. Each point's cost to its nearest partners in death bounds its
-        way out, so the windows at the largest such bound hold every one.
+        way out, so the windows at `nearest` hold every one.
         """
-        out_a = _nearest_death_cost(self.birth_a, self.death_a, self.birth_b, self.death_b)
-        out_b = _nearest_death_cost(self.birth_b, self.death_b, self.birth_a, self.death_a)
-        bound = max(
-            np.minimum(self.half_a, out_a).max(initial=0.0), np.minimum(self.half_b, out_b).max(initial=0.0)
-        )
         out_a, out_b = self.half_a.copy(), self.half_b.copy()
-        self.edges(bound, (out_a, out_b))
+        self.edges(self.nearest(), (out_a, out_b))
         return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
 
-    def _edges(self) -> _Edges:
-        """The edges at most the largest radius probed, read when first asked for since it grew."""
-        if self.E is None:
-            self.E = self.edges(self.read_at)
-        return self.E
+    def probe(self, eps: float) -> float:
+        """As `_Dense.probe`; the edges at eps are read once and kept for `rows`.
 
-    def _cover(self, side: int, eps: float) -> bool:
-        """Whether some matching in {D <= eps} covers the side's far points; side 0 is A, 1 is B."""
-        half = (self.half_a, self.half_b)[side]
-        far = half > eps
-        E = self._edges()
-        keep = E.val <= eps
-        keep &= np.take(far, (E.row, E.col)[side])
-        owner, other = E.kept(side, keep)
-        counts = np.bincount(owner, minlength=len(half))[far]
-        if not counts.all():
-            return False
-        # only far points own kept entries, so their rows follow one another
-        ends = counts.cumsum().tolist()
-        other = other.tolist()
-        adj = [(other[start:end],) for start, end in zip([0, *ends], ends)]
-        return -1 not in _hopcroft_karp(adj, len((self.half_b, self.half_a)[side]), all_layers=False)
-
-    def probe(self, eps: float) -> float | None:
-        """None when eps is infeasible, otherwise eps.
-
-        The edges are read again only once eps is above every radius probed before.
+        From each free far point of a failed check's maximum matching, the
+        alternating paths reach far points Z_L and all their neighbours Z_R.
+        A search that meets no other gives a violator with k = 1, and all of
+        them together one with k the number of free points. The largest of
+        their `_bound`s is returned.
         """
-        if eps > self.read_at:
-            self.E, self.read_at = None, eps  # the smaller set is freed before the larger one is read
-        return eps if self._cover(0, eps) and self._cover(1, eps) else None
+        self.E = None  # the last probe's edges are freed before these are read
+        self.E = E = self.edges(eps)
+        bound = eps
+        for side, half in enumerate((self.half_a, self.half_b)):
+            far = half > eps
+            owner, other = E.kept(side, np.take(far, (E.row, E.col)[side]))
+            # only far points own kept entries, so their rows follow one another
+            ends = np.bincount(owner, minlength=len(half))[far].cumsum().tolist()
+            other = other.tolist()
+            adj = [other[start:end] for start, end in zip([0, *ends], ends)]
+            match_left = _hopcroft_karp(list(zip(adj)), len((self.half_b, self.half_a)[side]), all_layers=False)
+            if -1 not in match_left:
+                continue
+            match_right = dict(zip(match_left, range(len(match_left))))
+            roots, far = [u for u, v in enumerate(match_left) if v == -1], far.nonzero()[0]
+            reached_by: dict[int, int] = {}  # each column reached -> the root whose search reached it first
+            z_l, z_r = [], []
+            for root in roots:
+                l0, r0, alone = len(z_l), len(z_r), True
+                z_l.append(root)
+                for u in islice(z_l, l0, None):  # breadth first: z_l grows as it is read
+                    for v in adj[u]:
+                        if v not in reached_by:
+                            reached_by[v] = root
+                            z_r.append(v)
+                            z_l.append(match_right[v])
+                        else:
+                            alone = alone and reached_by[v] == root
+                if alone and len(roots) > 1:
+                    bound = self._bound(side, far[z_l[l0:]], z_r[r0:], 1, bound)
+            bound = self._bound(side, far[z_l], z_r, len(roots), bound)
+        return bound
+
+    def _bound(self, side: int, rows: np.ndarray, z_r: list[int], k: int, best: float) -> float:
+        """max(best, b), b the bound of the side's rows, with neighbours z_r and k rows more than neighbours.
+
+        b is the k-th smallest of the rows' half-persistences and, per column
+        outside z_r, its smallest entry of D from the rows; only entries up
+        to the k-th smallest half-persistence are read.
+        """
+        half = (self.half_a, self.half_b)[side][rows]
+        h = np.partition(half, k - 1)[k - 1]
+        if h <= best:
+            return best
+        birth, death = (self.birth_a, self.death_a) if side == 0 else (self.birth_b, self.death_b)
+        birth_o, death_o = (self.birth_b, self.death_b) if side == 0 else (self.birth_a, self.death_a)
+        cost = np.full(len(death_o), math.inf)  # per column, its smallest entry from the rows
+        lo, hi = self._windows(side, death[rows], death[rows], h)
+        with np.errstate(over="ignore"):
+            for i, l, u in zip(rows.tolist(), lo, hi):
+                D = np.maximum(np.abs(birth[i] - birth_o[l:u]), np.abs(death[i] - death_o[l:u]))
+                np.minimum(cost[l:u], D, out=cost[l:u])
+        cost[z_r] = math.inf
+        values = np.concatenate((half, cost[cost < h]))
+        return max(best, np.partition(values, k - 1)[k - 1])
 
     def costs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """D at the pairs (A[u], B[v]) of the index arrays u and v, as `_linf` rounds it."""
@@ -487,18 +525,14 @@ class _Class:
         with np.errstate(over="ignore"):
             return np.maximum(np.abs(self.birth_a[i] - self.birth_b[j]), np.abs(self.death_a[i] - self.death_b[j]))
 
-    def values(self) -> np.ndarray:
-        """Every entry of D at most the largest radius probed."""
-        return self._edges().val
-
     def rows(self, eps: float) -> tuple[list[list[int]], list[int], range, list[float], list[float]]:
         """`_slot_pairs`' parts of the graph at the radius eps; frees the edges.
 
         The rows of {D <= eps} in A's order, the near B points, the slots and both sides' half-persistences.
         """
-        keep = self.values() <= eps
-        row, col = self.E.row[keep], self.E.col[keep]
-        self.E = keep = None  # freed before the rows are built
+        E = self.edges(eps) if self.E is None else self.E  # the last probe's, at eps, on the windowed route
+        row, col = E.row, E.col
+        self.E = E = None  # its values are freed before the rows are built
         # each row's columns as B's indices, ascending: one sort of the keys row * n + index,
         # in int32 where they fit, which halves the sort
         n = len(self.half_b)
@@ -525,26 +559,50 @@ class _Line(_Class):
     at both ends: the intervals all have the width 2 eps. So the greedy
     pass, each far point in death order taking the lowest unused partner in
     its window, finds a maximum matching (Glover, "Maximum matching in a
-    convex bipartite graph", Naval Res. Logist. Q. 14, 1967). A probe reads
-    no edges; `values` and `rows` read them at most once, at the largest
-    radius probed.
+    convex bipartite graph", Naval Res. Logist. Q. 14, 1967). Neither the
+    bound nor a probe reads D; `rows` reads it once, at the optimum.
     """
 
-    def _cover(self, side: int, eps: float) -> bool:
-        """Whether the greedy pass matches every far point of the side; side 0 is A, 1 is B.
+    def lower(self) -> float:
+        """As `_Class.lower`: with one birth, a point's nearest partners in death are its nearest ones."""
+        return self.nearest()
 
-        Within eps means |x - y| <= eps, with x - y rounded as `_linf` rounds it.
+    def probe(self, eps: float) -> float:
+        """As `_Class.probe`, by the greedy pass of each side; x - y is rounded as `_linf` rounds it.
+
+        The far points in death order take runs of consecutive partners. Say
+        the far points x_first, ..., x_last, from the one that opened a run
+        other[s:] to the last in it that found no partner, took other[s:j]
+        and f of them found none. Their windows lie in other[s:j]: other[s - 1]
+        was too low for x_first, and other[j] is too high for x_last. So they
+        outnumber their partners by f until f of the values below are
+        reached, of their half-persistences, other[j:] - x_last and
+        x_first - other[:s]: the f-th smallest is returned, for the first
+        run that has such points.
         """
-        death, other = (self.death_a, self.death_b) if side == 0 else (self.death_b, self.death_a)
-        far, other = death[(self.half_a, self.half_b)[side] > eps].tolist(), other.tolist()
-        j, n = 0, len(other)
-        for x in far:
-            while j < n and x - other[j] > eps:
-                j += 1
-            if j == n or other[j] - x > eps:
-                return False
-            j += 1
-        return True
+        sides = ((self.half_a, self.death_a, self.death_b), (self.half_b, self.death_b, self.death_a))
+        for half, death, other in sides:
+            far = half > eps
+            half, death, partners = half[far], death[far], other.tolist()
+            j, n, s, first, failed = 0, len(partners), 0, 0, 0
+            for k, x in enumerate(death.tolist()):
+                if j < n and x - partners[j] > eps:
+                    if failed:
+                        break
+                    while j < n and x - partners[j] > eps:
+                        j += 1
+                    s, first = j, k  # a new run of partners starts at j
+                if j < n and partners[j] - x <= eps:
+                    j += 1
+                else:
+                    failed, last, end = failed + 1, k, j
+            if failed:
+                with np.errstate(over="ignore"):
+                    above = other[end : end + failed] - death[last]
+                    below = death[first] - other[max(s - failed, 0) : s]
+                values = np.concatenate((half[first : last + 1], above, below))
+                return np.partition(values, failed - 1)[failed - 1]
+        return eps
 
 
 def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> list[list[int]]:
@@ -756,36 +814,11 @@ class _Dense:
 
 
 def _radius(c: _Dense | _Class) -> float:
-    """The smallest feasible candidate radius: the lower bound, or the jumps or bracket search above it."""
+    """The smallest feasible candidate radius: the lower bound, then each failed probe's jump."""
     r = c.lower()
-    if isinstance(c, _Dense):
-        while (bound := c.probe(r)) != r:
-            r = bound
-        return float(r)
-    halves = np.concatenate((c.half_a, c.half_b))
-    cap = halves.max()
-    unit = halves[halves > 0].min(initial=cap)
-    found = c.probe(r)
-    if found is not None:
-        return float(r)
-    while found is None:
-        # low: the highest radius known infeasible. As a Python float, a step
-        # past the largest float gives inf without numpy's overflow warning;
-        # a subnormal r times _GROWTH can round back to r.
-        low, r = r, (min(max(float(r) * _GROWTH, math.nextafter(r, math.inf)), cap) if r > 0 else unit)
-        found = c.probe(r)
-    # the candidates in (low, r]; the largest of them makes the same graph as
-    # r, so it is feasible. Repeated radii cost at most one more search step;
-    # np.unique would also import numpy.ma, which then stays resident.
-    radii = np.sort(np.concatenate([x[(x > low) & (x <= r)] for x in (c.values(), halves)]))
-    lo, hi = 0, len(radii) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if c.probe(radii[mid]) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    return float(radii[lo])
+    while (bound := c.probe(r)) != r:
+        r = bound
+    return float(r)
 
 
 def _finite_class_distance(

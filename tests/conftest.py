@@ -47,7 +47,7 @@ def bounded_search(monkeypatch):
     Returns a Counter of the probes by the route of the class probed: the
     first of the routes in its type's MRO, so a test's subclass counts as
     its route. Each `probe` is wrapped once, on the route that defines it,
-    so a route that inherits one (`_Line`) counts each probe once.
+    so a route that inherits one would count each probe once.
     """
     counts, routes = Counter(), (bottleneck._Dense, bottleneck._Class, bottleneck._Line)
     for route in routes:

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestOverflow:
 
 
 class TestSubnormal:
-    """Coordinates a few subnormal steps apart, where a radius times _GROWTH rounds back to itself."""
+    """Coordinates a few subnormal steps apart: the radius search returns on subnormal radii."""
 
     A = [(5e-324, 2e-323, K01)]
     B = [(0.0, 1e-323, K01), (5e-324, 1.5e-323, K01), (5e-324, 2e-323, K01), (1e-323, 1.5e-323, K01),
@@ -453,13 +454,8 @@ class TestAgainstFrozenOracleLine(TestAgainstFrozenOracle):
 class TestProbesAgainstOracle:
     """Each route's probe against the oracle's feasibility test, at every candidate radius."""
 
-    def check(self, c, A, B, r):
-        found = c.probe(r)
-        assert (found is None) == (oracle_feasible(A, B, r) is None)
-        assert found is None or found == r
-
-    def check_dense(self, c, radii, feasible, optimum, r):
-        """The dense probe at r: r when r is feasible, otherwise a candidate b that no radius in [r, b) reaches."""
+    def check(self, c, radii, feasible, optimum, r):
+        """The probe at r: r when r is feasible, otherwise a candidate b that no radius in [r, b) reaches."""
         b = c.probe(r)
         if feasible[r]:
             assert b == r
@@ -473,7 +469,7 @@ class TestProbesAgainstOracle:
     def test_tie_heavy_classes(self):
         # the first half of `test_tie_heavy_small_pairs`' pool, which keeps this test near 2 s
         pool, rng = random.Random(2017), random.Random(1990)
-        probed = jumps = skips = 0
+        probed, jumps, skips = 0, Counter(), Counter()
         for _ in range(600):
             groups1, groups2 = map(bottleneck._by_class, tie_heavy_pair(pool))
             for k in groups1.keys() | groups2.keys():
@@ -487,34 +483,37 @@ class TestProbesAgainstOracle:
                 feasible = {r: oracle_feasible(A, B, r) is not None for r in radii}
                 optimum = oracle_matching(diag(*A), diag(*B)).distance
                 # only the dense route takes a class empty on one side
-                dense = bottleneck._Dense(A, B)
-                for i, r in enumerate(radii):
-                    b = self.check_dense(dense, radii, feasible, optimum, r)
-                    jumps += b != r
-                    skips += b != r and b > radii[i + 1]  # past the next candidate, where bisection would step
-                    probed += 1
-                routes = []
+                routes = [(bottleneck._Dense(A, B), radii)]
                 if A and B:
-                    # the shuffled radii read the edges at radii below the largest one read
+                    # the windowed route in both orders: a probe does not depend on the ones before it
                     routes.append((bottleneck._Class(A, B), radii))
                     routes.append((bottleneck._Class(A, B), rng.sample(radii, len(radii))))
                 for c, order in routes:
                     for r in order:
-                        self.check(c, A, B, r)
+                        b = self.check(c, radii, feasible, optimum, r)
+                        jumps[type(c).__name__] += b != r
+                        # past the next candidate, where bisection would step
+                        skips[type(c).__name__] += b != r and b > radii[radii.index(r) + 1]
                         probed += 1
-        assert probed > 15_000 and jumps > 3_000 and skips > 500
+        assert probed > 15_000 and jumps["_Dense"] > 3_000 and skips["_Dense"] > 500
+        assert jumps["_Class"] > 5_000 and skips["_Class"] > 3_000
 
     def test_one_birth_classes(self):
         rng = random.Random(1967)
-        probed = 0
+        probed = jumps = skips = 0
         for _ in range(800):
             A, B = (list(D.points) for D in one_birth_pair(rng))
             radii = {(p.death - p.birth) / 2.0 for p in A + B} | {abs(a.death - b.death) for a in A for b in B}
+            radii = sorted(radii)
+            feasible = {r: oracle_feasible(A, B, r) is not None for r in radii}
+            optimum = oracle_matching(diag(*A), diag(*B)).distance
             c = bottleneck._Line(A, B)
-            for r in rng.sample(sorted(radii), len(radii)):
-                self.check(c, A, B, r)
+            for r in rng.sample(radii, len(radii)):
+                b = self.check(c, radii, feasible, optimum, r)
+                jumps += b != r
+                skips += b != r and b > radii[radii.index(r) + 1]
                 probed += 1
-        assert probed > 7_000
+        assert probed > 7_000 and jumps > 3_500 and skips > 1_200
 
 
 class TestDenseJumps:
@@ -528,8 +527,45 @@ class TestDenseJumps:
         assert len(classes) < bounded_search["_Dense"] <= 60
 
 
+class TestWindowedJumps:
+    """The windowed and line routes climb by Hall-violator jumps, as the dense route does."""
+
+    def test_probe_count_on_near_300_point_pairs(self, monkeypatch, bounded_search):
+        # 40 windowed probes; the bracket search took 213
+        classes = count_route(monkeypatch, bottleneck._Class, "_Class")
+        for seed in range(20):
+            bottleneck_distance(*synthetic_pair(seed, 300, near=True))
+        assert classes == [300 * 300] * 20
+        assert len(classes) < bounded_search["_Class"] <= 45
+
+    def test_probe_count_on_near_300_point_one_birth_pairs(self, monkeypatch, bounded_search):
+        # 78 line probes; the bracket search took 341
+        classes = count_route(monkeypatch, bottleneck._Line, "_Line")
+        for seed in range(20):
+            bottleneck_distance(*synthetic_pair(seed, 300, near=True, one_birth=True))
+        assert classes == [300 * 300] * 20
+        assert len(classes) < bounded_search["_Line"] <= 85
+
+    @pytest.mark.parametrize("one_birth", [False, True], ids=["windowed", "line"])
+    def test_probe_count_when_points_must_go_to_the_diagonal(self, bounded_search, one_birth):
+        # 400 long bars against 200, all within 0.01 of each other, so 200 of
+        # A's go to the diagonal. Bounds that count a violator's surplus take
+        # 3 probes; one violator per free point climbed one half-persistence
+        # a probe (302 and 309), and the bracket search took 36 and 43
+        rng = np.random.default_rng(5)
+
+        def bars(count):
+            births = np.zeros(count) if one_birth else rng.uniform(0.0, 0.01, count)
+            return diag(*[(b, 10.0 + d, K01) for b, d in zip(births.tolist(), rng.uniform(0.0, 0.01, count).tolist())])
+
+        A, B = bars(400), bars(200)
+        assert bottleneck_distance(A, B) == pytest.approx(5.0, abs=0.01)
+        assert set(bounded_search) == {"_Line" if one_birth else "_Class"}
+        assert bounded_search.total() <= 5
+
+
 def test_bounded_search_counts_a_line_probe_once(bounded_search):
-    # `_Line` inherits `probe` from `_Class`: one `_radius` on a 300-point
+    # `_Line` and `_Class` each define `probe`: one `_radius` on a 300-point
     # one-birth class counts its probes under `_Line` alone, so the cap of
     # 200 is 200 line probes
     A, B = (list(D.points) for D in synthetic_pair(1, 300, near=True, one_birth=True))
@@ -809,6 +845,29 @@ class TestScale:
         D1, D2 = synthetic_pair(3000, 3000, near=True)
         _, peak = traced_peak(bottleneck_distance, D1, D2)
         assert peak < 72 * 2**20
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((2000, 2000, True), "7bbcd83b22053894b40b35bfbcfb4df478c4004e609acc7023ae83137ecf61b5"),
+            ((1, 3000, True), "f47e4e4cc337e1bd86de25d4d8035211ada3fe82fab4d29997b06cb8b2d44577"),
+            ((1, 3000, True, True), "489d066080c0a7d9f237dde8035af118bdc77eeb4592c9a22b6387e3b16280dc"),
+            ((2, 3000, False, True), "d47f69db2dfbd4183918794569fea5cbcbc5d3c24a788618fbeed99adb687c08"),
+        ],
+        ids=["windowed-near-2000", "windowed-near-3000", "line-near-3000", "line-independent-3000"],
+    )
+    def test_windowed_and_line_digests(self, args, digest):
+        # frozen from the bracket search that the jumps replaced
+        D1, D2 = synthetic_pair(*args)
+        assert hashlib.sha256(repr(bottleneck_matching(D1, D2)).encode()).hexdigest() == digest
+
+    def test_line_distance_memory_follows_the_points(self):
+        # 10,000 points a side; listing every entry of D up to the largest
+        # radius probed peaked at 957 MiB traced here
+        D1, D2 = synthetic_pair(1, 10000, near=True, one_birth=True)
+        distance, peak = traced_peak(bottleneck_distance, D1, D2)
+        assert distance == pytest.approx(0.03940, abs=1e-5)
+        assert peak < 64 * 2**20
 
     @pytest.mark.slow
     def test_n100_chain_pair_digest(self):

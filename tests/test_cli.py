@@ -151,7 +151,7 @@ class TestBottleneck:
         assert [(m["pair"], m["cost"]) for m in obj["matching"]] == [(["a0", "diag"], 1e308)]
 
     def test_subnormal_points_return(self, capsys, tmp_path, bounded_search):
-        # a radius search step by _GROWTH rounds back to the same subnormal radius
+        # the radius search returns on subnormal radii
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path, points in [
             (a, [(5e-324, 2e-323)]),
