@@ -19,9 +19,11 @@ Per class, the finite points A and B take one of four routes:
   `_Class`: D is read in windows and never held whole. Both sides are
   sorted by death. An entry D_ij <= r needs |death_i - death_j| <= r, so a
   block of rows meets such entries only in one window of the other side's
-  deaths. `_Class.edges(r)` reads D in blocks of _BLOCK rows within those
-  windows and keeps the entries at most r, so memory is linear in points
-  plus those entries.
+  deaths. `_Class.edges(r, side, rows)` reads the given rows of one side
+  in blocks of _BLOCK rows within those windows and keeps the entries at
+  most r. A probe reads each side's far points' rows only, and the
+  reported matching reads all of A's rows once, at the optimum, so memory
+  is linear in points plus the entries read.
 - Otherwise every point has one birth, and the line route, `_Line`, tests
   a radius by two greedy passes over the sorted deaths; see `_Line`. The
   large classes of the pipeline's diagrams take it: all their points are
@@ -43,10 +45,11 @@ Per class, the finite points A and B take one of four routes:
   becomes a neighbour at its smallest entry of D from Z_L. Hall's
   condition fails until k of these values are reached, so the k-th
   smallest is a candidate above the radius probed and at most the
-  optimum, and is probed next. The dense route takes the smallest value
-  of the Z_L of all its free far points. The windowed route takes the
-  largest bound of each free point's own Z_L that meets no other and of
-  all of them together; the line route reads one Z_L off its greedy pass.
+  optimum, and is probed next. The dense route takes this bound for the
+  Z_L of all its free far points, k their number. The windowed route
+  takes the largest of that bound and of each free point's own Z_L that
+  meets no other, with k = 1; the line route reads one Z_L off its greedy
+  pass.
   The first feasible probe is the optimum; no candidate is listed.
 - Feasibility at a radius, without diagonal slots. A perfect matching of A
   plus one diagonal slot per B point against B plus one slot per A point
@@ -353,26 +356,6 @@ def _nearest_death_cost(birth_x, death_x, birth_y, death_y) -> np.ndarray:
     return np.minimum(*cost)
 
 
-class _Edges:
-    """The entries of D at most some radius: row and column (A's and B's positions by death) and value.
-
-    Rows ascend, and within a row the columns ascend.
-    """
-
-    def __init__(self, row: np.ndarray, col: np.ndarray, val: np.ndarray):
-        self.row, self.col, self.val = row, col, val
-        self._by_col: np.ndarray | None = None
-
-    def kept(self, side: int, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owner and other end of the kept entries, owners ascending: A's rows (side 0) or B's (1)."""
-        if side == 0:
-            return self.row[keep], self.col[keep]
-        if self._by_col is None:
-            self._by_col = np.argsort(self.col, kind="stable").astype(np.int32)
-        kept = self._by_col[np.take(keep, self._by_col)]  # `take` reads an int32 index faster than []
-        return self.col[kept], self.row[kept]
-
-
 class _Class:
     """One class's finite points, with D read in windows.
 
@@ -393,47 +376,52 @@ class _Class:
         # far enough past every rounding in `death - r` that a window never
         # drops an entry of D at most r
         self.slack = max(np.abs(x).max() for x in (birth_a, death_a, birth_b, death_b)) * 2.0**-40
-        self.E: _Edges | None = None  # the last probe's edges
+
+    def _sides(self, side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Births and deaths of the side's points (A's for side 0, B's for 1), then of the other side's."""
+        a, b = (self.birth_a, self.death_a), (self.birth_b, self.death_b)
+        return (*a, *b) if side == 0 else (*b, *a)
 
     def _windows(self, side: int, low: np.ndarray, high: np.ndarray, r: float) -> tuple[list[int], list[int]]:
         """The slices of the other side that hold every entry of D at most r of rows with deaths in [low, high]."""
-        other = (self.death_b, self.death_a)[side]
+        other = self._sides(side)[3]
         with np.errstate(over="ignore"):  # a window past the largest float is unbounded
             reach = r * (1 + 2.0**-40) + self.slack
             lo, hi = np.searchsorted(other, low - reach, "left"), np.searchsorted(other, high + reach, "right")
         return lo.tolist(), hi.tolist()
 
-    def edges(self, r: float, outs: tuple[np.ndarray, np.ndarray] | None = None) -> _Edges:
-        """Every entry of D at most r, read in row blocks within death windows.
+    def _blocks(self, r: float, side: int, rows: np.ndarray | None) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The side's rows (all, or the ascending positions rows) in blocks of _BLOCK, each within its death window.
 
-        Each block covers the columns within r in death of its rows. When
-        outs is given, each row's and column's entry in it is lowered to the
-        smallest entry of D read in that row or column, and no entry is kept.
+        Yields each block's first place in rows, the start of its window in
+        the other side, and D between the two. The window covers the columns
+        within r in death of the block's rows.
         """
-        starts = np.arange(0, len(self.death_a), _BLOCK)
-        lasts = np.minimum(starts + _BLOCK, len(self.death_a)) - 1
-        lo, hi = self._windows(0, self.death_a[starts], self.death_a[lasts], r)
-        rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
+        birth, death, birth_o, death_o = self._sides(side)
+        if rows is not None:
+            birth, death = birth[rows], death[rows]
+        starts = np.arange(0, len(death), _BLOCK)
+        lasts = np.minimum(starts + _BLOCK, len(death)) - 1
+        lo, hi = self._windows(side, death[starts], death[lasts], r)
         for s, l, h in zip(starts.tolist(), lo, hi):
-            if l == h:
-                continue
-            block = slice(s, s + _BLOCK)
-            D = _linf(self.birth_a[block], self.death_a[block], self.birth_b[l:h], self.death_b[l:h])
-            if outs is not None:
-                np.minimum(outs[0][block], D.min(axis=1), out=outs[0][block])
-                np.minimum(outs[1][l:h], D.min(axis=0), out=outs[1][l:h])
-                continue
-            within = D <= r
-            i, j = within.nonzero()
-            rows.append((i + s).astype(np.int32))
+            if l < h:
+                block = slice(s, s + _BLOCK)
+                yield s, l, _linf(birth[block], death[block], birth_o[l:h], death_o[l:h])
+
+    def edges(self, r: float, side: int = 0, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry of D at most r in the side's rows: its place in rows and its column, as int32.
+
+        The places ascend, and within a place the columns, both in death order.
+        """
+        places, cols = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        for s, l, D in self._blocks(r, side, rows):
+            i, j = (D <= r).nonzero()
+            places.append((i + s).astype(np.int32))
             cols.append((j + l).astype(np.int32))
-            vals.append(D[within])
         # one array at a time, so the pieces of only one are held twice
-        row = np.concatenate(rows)
-        del rows
-        col = np.concatenate(cols)
-        del cols
-        return _Edges(row, col, np.concatenate(vals))
+        place = np.concatenate(places)
+        del places
+        return place, np.concatenate(cols)
 
     def nearest(self) -> float:
         """The largest over points of the cheaper of the diagonal and its nearest partners in death."""
@@ -451,11 +439,13 @@ class _Class:
         way out, so the windows at `nearest` hold every one.
         """
         out_a, out_b = self.half_a.copy(), self.half_b.copy()
-        self.edges(self.nearest(), (out_a, out_b))
+        for s, l, D in self._blocks(self.nearest(), 0, None):
+            np.minimum(out_a[s : s + _BLOCK], D.min(axis=1), out=out_a[s : s + _BLOCK])
+            np.minimum(out_b[l : l + D.shape[1]], D.min(axis=0), out=out_b[l : l + D.shape[1]])
         return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
 
     def probe(self, eps: float) -> float:
-        """As `_Dense.probe`; the edges at eps are read once and kept for `rows`.
+        """As `_Dense.probe`; each side's check reads only the edges of its own far points.
 
         From each free far point of a failed check's maximum matching, the
         alternating paths reach far points Z_L and all their neighbours Z_R.
@@ -463,21 +453,16 @@ class _Class:
         them together one with k the number of free points. The largest of
         their `_bound`s is returned.
         """
-        self.E = None  # the last probe's edges are freed before these are read
-        self.E = E = self.edges(eps)
         bound = eps
         for side, half in enumerate((self.half_a, self.half_b)):
-            far = half > eps
-            owner, other = E.kept(side, np.take(far, (E.row, E.col)[side]))
-            # only far points own kept entries, so their rows follow one another
-            ends = np.bincount(owner, minlength=len(half))[far].cumsum().tolist()
-            other = other.tolist()
-            adj = [other[start:end] for start, end in zip([0, *ends], ends)]
-            match_left = _hopcroft_karp(list(zip(adj)), len((self.half_b, self.half_a)[side]), all_layers=False)
+            far = (half > eps).nonzero()[0]
+            n_other = len((self.half_b, self.half_a)[side])
+            adj = _row_lists(*self.edges(eps, side, far), len(far), n_other)
+            match_left = _hopcroft_karp(list(zip(adj)), n_other, all_layers=False)
             if -1 not in match_left:
                 continue
             match_right = dict(zip(match_left, range(len(match_left))))
-            roots, far = [u for u, v in enumerate(match_left) if v == -1], far.nonzero()[0]
+            roots = [u for u, v in enumerate(match_left) if v == -1]
             reached_by: dict[int, int] = {}  # each column reached -> the root whose search reached it first
             z_l, z_r = [], []
             for root in roots:
@@ -507,8 +492,7 @@ class _Class:
         h = np.partition(half, k - 1)[k - 1]
         if h <= best:
             return best
-        birth, death = (self.birth_a, self.death_a) if side == 0 else (self.birth_b, self.death_b)
-        birth_o, death_o = (self.birth_b, self.death_b) if side == 0 else (self.birth_a, self.death_a)
+        birth, death, birth_o, death_o = self._sides(side)
         cost = np.full(len(death_o), math.inf)  # per column, its smallest entry from the rows
         lo, hi = self._windows(side, death[rows], death[rows], h)
         with np.errstate(over="ignore"):
@@ -526,13 +510,11 @@ class _Class:
             return np.maximum(np.abs(self.birth_a[i] - self.birth_b[j]), np.abs(self.death_a[i] - self.death_b[j]))
 
     def rows(self, eps: float) -> tuple[list[list[int]], list[int], range, list[float], list[float]]:
-        """`_slot_pairs`' parts of the graph at the radius eps; frees the edges.
+        """`_slot_pairs`' parts of the graph at the radius eps.
 
         The rows of {D <= eps} in A's order, the near B points, the slots and both sides' half-persistences.
         """
-        E = self.edges(eps) if self.E is None else self.E  # the last probe's, at eps, on the windowed route
-        row, col = E.row, E.col
-        self.E = E = None  # its values are freed before the rows are built
+        row, col = self.edges(eps)
         # each row's columns as B's indices, ascending: one sort of the keys row * n + index,
         # in int32 where they fit, which halves the sort
         n = len(self.half_b)
@@ -626,7 +608,7 @@ def _slot_pairs(
     adj = [(row, slots) if h <= eps else (row,) for row, h in zip(rows, half_a)]
     adj.extend([(near_b, slots)] * nb)
     if isinstance(c, _Dense):  # the routine for the rows' form
-        match_left, _ = _bit_hopcroft_karp(adj, na + nb, (near_b, slots))
+        match_left, _ = _bit_hopcroft_karp(adj, na + nb)
     else:
         match_left = _hopcroft_karp(adj, na + nb, (near_b, slots))
     # A's points in order, each with its partner in B or the diagonal, then the B points slots absorb
@@ -656,20 +638,17 @@ def _bit_rows(within: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * k : i * k + k], "little") for i in range(len(packed))]
 
 
-def _bit_hopcroft_karp(
-    adj: list[tuple[int, ...]], n_right: int, shared: tuple[int, ...] = (), all_layers: bool = True
-) -> tuple[list[int], int]:
+def _bit_hopcroft_karp(adj: list[tuple[int, ...]], n_right: int, all_layers: bool = True) -> tuple[list[int], int]:
     """`_hopcroft_karp` on rows of ints, bit v for right node v, whose scan order is ascending.
 
-    A row's ints cover ascending, disjoint ranges of right nodes, and rows
-    may share the ints in shared. Each step is a few operations on whole ints:
-    the greedy pass takes the lowest bit of part & free, or a shared int's
-    lowest free bit from the list of its bits, and a run of consecutive rows
-    that are one tuple takes the free bits of its parts in one step, as many
-    as it has rows; a breadth-first layer ORs its distinct ints less the
-    nodes reached; the depth-first search from layer t - 1 takes the lowest
-    bit of part & (free | at[t]) above the last it took, where at[t] holds
-    the right nodes whose partner is at layer t.
+    A row's ints cover ascending, disjoint ranges of right nodes. Each step
+    is a few operations on whole ints: the greedy pass takes the lowest bit
+    of part & free, and a run of consecutive rows that are one tuple takes
+    the free bits of its parts in one step, as many as it has rows; a
+    breadth-first layer ORs its distinct ints less the nodes reached; the
+    depth-first search from layer t - 1 takes the lowest bit of
+    part & (free | at[t]) above the last it took, where at[t] holds the
+    right nodes whose partner is at layer t.
 
     Returns match_left and, when a left node stays free, the right nodes the
     last breadth-first pass reached as an int: those alternating-reachable
@@ -679,7 +658,6 @@ def _bit_hopcroft_karp(
     match_left = [-1] * n_left
     match_right = [-1] * n_right
     free = (1 << n_right) - 1
-    rest = {id(part): _bits(part)[::-1] for part in shared}  # a shared int's bits, lowest last
     u = 0
     while u < n_left:
         row, end = adj[u], u + 1
@@ -702,15 +680,8 @@ def _bit_hopcroft_karp(
             u = end
             continue
         for part in row:
-            bits = rest.get(id(part)) if rest else None
-            while bits and match_right[bits[-1]] != -1:
-                bits.pop()
-            if bits is None:
-                x = part & free
-                v = (x & -x).bit_length() - 1  # -1 when x is 0
-            else:
-                v = bits[-1] if bits else -1
-            if v != -1:
+            if x := part & free:
+                v = (x & -x).bit_length() - 1
                 match_left[u], match_right[v] = v, u
                 free ^= 1 << v
                 break
@@ -781,13 +752,14 @@ class _Dense:
     def probe(self, eps: float) -> float:
         """eps when it is feasible; otherwise the next candidate radius that can be, at most the optimum.
 
-        A side's check that fails ends on a maximum matching whose last
-        breadth-first pass reached, from the free far rows, the far rows Z_L
-        and the columns Z_R: every edge of Z_L ends in Z_R, and Z_R's
-        columns are matched to Z_L's other rows, so |Z_R| < |Z_L| (König's
-        Hall violator). Below b, the smallest of Z_L's half-persistences and
-        its entries outside Z_R's columns, every row of Z_L stays far and
-        gains no column outside Z_R, so Hall's condition fails at every
+        A side's check that fails with k far rows free ends on a maximum
+        matching whose last breadth-first pass reached, from the free rows,
+        the far rows Z_L and the columns Z_R: every edge of Z_L ends in Z_R,
+        and Z_R's columns are matched to Z_L's other rows, so
+        |Z_L| - |Z_R| = k (König's Hall violator). Its values are Z_L's
+        half-persistences and, per column outside Z_R, its smallest entry
+        from Z_L: each turns a row near or a column into a neighbour, so
+        below b, the k-th smallest of them, Hall's condition fails at every
         radius in [eps, b). b is a candidate and exceeds eps, since Z_L's
         rows are far at eps and their entries outside Z_R are above it.
         """
@@ -795,11 +767,12 @@ class _Dense:
             far = half > eps
             D, half = D[far], half[far]
             match_left, reached = _bit_hopcroft_karp(list(zip(_bit_rows(D <= eps))), D.shape[1], all_layers=False)
-            if -1 in match_left:
+            if k := match_left.count(-1):
                 in_z = np.zeros(D.shape[1] + 1, bool)  # Z_R, then True for a free row's partner -1
                 in_z[_bits(reached)] = in_z[-1] = True
                 z_l = in_z[match_left]
-                return min(D[z_l][:, ~in_z[:-1]].min(initial=math.inf), half[z_l].min())
+                values = np.concatenate((half[z_l], D[z_l][:, ~in_z[:-1]].min(axis=0)))
+                return np.partition(values, k - 1)[k - 1]
         return eps
 
     def costs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 The scripts use private names of `markov_morse.bottleneck`, so a rename there
 fails here rather than at the next measurement. `scale_table.measure`, the
-row behind README's filtration table, runs once on a small chain, its
-two-checkout form and `ab_items` (for a moment on `match`) with this
-checkout on both sides.
+row behind README's filtration table, runs once on a small chain, and its
+two-checkout form, `bottleneck_scale`'s on the n=100 chain pair and
+`ab_items` (for a moment on `match`) run with this checkout on both sides.
 """
 
 import importlib
@@ -65,6 +65,14 @@ def test_bottleneck_scale_builds_the_independent_pair(scripts):
     D1, D2 = scripts("bottleneck_scale").independent_pair(mm, 50)
     assert len(D1.points) == len(D2.points) == 50
     assert {tuple(p.index) for p in D1.points + D2.points} == {(0, 1)}
+
+
+def test_bottleneck_scale_compares_this_checkout_against_itself(scripts, capsys):
+    root = str(SCRIPTS.parent)
+    assert scripts("bottleneck_scale").main([root, root, "n100"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| n100 |")]
+    assert len(rows) == 2 and all(row.count(" / ") == 3 for row in rows)
+    assert [row.split(" | ")[3] for row in rows] == ["`bottleneck_distance`", "`bottleneck_matching`"]
 
 
 def test_scale_table_measures_a_small_chain(scripts):
