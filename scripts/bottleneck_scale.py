@@ -31,7 +31,11 @@ edit that changes a finite point of the diagram: `PerturbationSpec(1, j,
 changes one, the same with +-0.0005: at n=800 every row-1 entry is below
 0.005, so no edit of 0.005 is valid. The dense pair is two
 independently drawn diagrams of 2000 points in one class (`independent_pair`),
-where the optimum graph {D <= eps} is itself dense.
+where the optimum graph {D <= eps} is itself dense. The class pairs are
+`route_crossover.class_pair`'s one-class sides as diagrams
+(`class_diagrams`): `line10000` is its near one-birth pair of 10,000 points
+a side, which takes the line route, and `near3000` its near pair of 3000,
+which takes the windowed route.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from route_crossover import class_pair
 from scale_table import SIDES, timed, traced_mib
 
-PAIRS = ("n100", "n200", "n400", "n800", "dense2000")
+CLASS_PAIRS = {"line10000": (10000, True, True), "near3000": (3000, True, False)}  # class_pair's arguments
+PAIRS = ("n100", "n200", "n400", "n800", "dense2000", *CLASS_PAIRS)
 FUNCTIONS = ("bottleneck_distance", "bottleneck_matching")
 DENSITY = 0.7
 SEED = 1
@@ -74,6 +80,12 @@ def first_edit(mm, P):
     raise ValueError("no row-1 edit changes a finite point")
 
 
+def one_class(mm, points):
+    """mm's diagram of the (birth, death) pairs, all in the index class (0, 1), read from its JSON."""
+    rows = [{"birth": b, "death": d, "index": [0, 1]} for b, d in points]
+    return mm.diagram_from_json(json.dumps({"grid": [0.0, 1.0], "points": rows}))
+
+
 def independent_pair(mm, points: int):
     """Two independent one-class diagrams: births uniform in [0, 0.5], lengths 1e-3 plus exponential of mean 0.08."""
     import numpy as np
@@ -83,15 +95,21 @@ def independent_pair(mm, points: int):
     def draw():
         births = rng.uniform(0.0, 0.5, size=points)
         deaths = births + rng.exponential(0.08, size=points) + 1e-3
-        rows = [{"birth": b, "death": d, "index": [0, 1]} for b, d in zip(births.tolist(), deaths.tolist())]
-        return mm.diagram_from_json(json.dumps({"grid": [0.0, 1.0], "points": rows}))
+        return one_class(mm, zip(births.tolist(), deaths.tolist()))
 
     return draw(), draw()
+
+
+def class_diagrams(mm, points: int, near: bool, one_birth: bool = False):
+    """`class_pair`'s two sides as mm's diagrams."""
+    return tuple(one_class(mm, [p[:2] for p in side]) for side in class_pair(points, near, one_birth))
 
 
 def diagrams(mm, pair: str):
     if pair == "dense2000":
         return independent_pair(mm, 2000)
+    if pair in CLASS_PAIRS:
+        return class_diagrams(mm, *CLASS_PAIRS[pair])
     n = int(pair.removeprefix("n"))
     return first_edit(mm, mm.random_chain(mm.RandomChainSpec(n, DENSITY, SEED)))
 

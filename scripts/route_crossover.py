@@ -9,7 +9,8 @@ points a side from fixed seeds: a near pair (each point of A moved by up to
 0.01 in birth and death, about one in ten redrawn) and an independent pair,
 each with births uniform in [0, 0.5] and with every birth 0.0 (a near
 one-birth pair moves only deaths). Lengths are 1e-3 plus exponential of
-mean 0.08, as in the `match` workload. The routes that apply run
+mean 0.08, as in the `match` workload. Each side is in diagram order, the
+order the line route needs. The routes that apply run
 alternately in this one process on the same classes, after one untimed
 round: the line route only on one-birth pairs. Per round the order of the
 routes is reversed. A row gives the median over ROUNDS rounds of the
@@ -51,10 +52,11 @@ def draw(rng: np.random.Generator, count: int, one_birth: bool) -> list[Persiste
 
 
 def class_pair(points: int, near: bool, one_birth: bool = False) -> tuple[list[PersistencePoint], ...]:
+    """One class's two sides, each in diagram order (by birth, then death), as `_by_class` hands them over."""
     rng = np.random.default_rng([SEED, points, near, one_birth] if one_birth else [SEED, points, near])
     A = draw(rng, points, one_birth)
     if not near:
-        return A, draw(rng, points, one_birth)
+        return sorted(A), sorted(draw(rng, points, one_birth))
     B = []
     for birth, death, k in A:
         if rng.uniform() < 0.1:
@@ -63,7 +65,7 @@ def class_pair(points: int, near: bool, one_birth: bool = False) -> tuple[list[P
             shift = float(rng.uniform(-0.01, 0.01))
             birth = birth if one_birth else max(0.0, birth + shift)
             B.append(PersistencePoint(birth, max(death + float(rng.uniform(-0.01, 0.01)), birth + 1e-4), k))
-    return A, B
+    return sorted(A), sorted(B)
 
 
 ROUTES = {"dense": _Dense, "windowed": _Class, "line": _Line}

@@ -19,11 +19,11 @@ Per class, the finite points A and B take one of four routes:
   `_Class`: D is read in windows and never held whole. Both sides are
   sorted by death. An entry D_ij <= r needs |death_i - death_j| <= r, so a
   block of rows meets such entries only in one window of the other side's
-  deaths. `_Class.edges(r, side, rows)` reads the given rows of one side
-  in blocks of _BLOCK rows within those windows and keeps the entries at
-  most r. A probe reads each side's far points' rows only, and the
-  reported matching reads all of A's rows once, at the optimum, so memory
-  is linear in points plus the entries read.
+  deaths. `_Class.adjacency(r, side, rows)` reads the given rows of one
+  side in blocks of _BLOCK rows within those windows and lists, block by
+  block, each row's columns at most r. A probe reads each side's far
+  points' rows only, and the reported matching reads all of A's rows once,
+  at the optimum, so memory is linear in points plus the entries kept.
 - Otherwise every point has one birth, and the line route, `_Line`, tests
   a radius by two greedy passes over the sorted deaths; see `_Line`. The
   large classes of the pipeline's diagrams take it: all their points are
@@ -69,9 +69,9 @@ Per class, the finite points A and B take one of four routes:
   breadth-first layer, as the oracle's does. The near B points and the
   slots are each one int or sequence that every slot row shares, so no slot
   row is copied, and on the dense route the slot rows' greedy pass is one
-  step; a windowed or line class's rows also share one int object per B
-  point. A matched pair's cost is read off D's entries as `_linf` rounds
-  them. `bottleneck_distance` stops at the radius.
+  step. A windowed class's rows share one int object per B point, and a
+  line class's rows are ranges. A matched pair's cost is D's entry as
+  `_linf` rounds it. `bottleneck_distance` stops at the radius.
 - Where death - birth overflows, a half-persistence is death / 2.0 -
   birth / 2.0, so finite diagrams keep a finite distance.
 
@@ -178,12 +178,12 @@ def _hopcroft_karp(
     effect:
 
     - The first phase is one greedy pass: each left node in turn takes the
-      first free right node of its row. Every left
-      node is at layer 0 in that phase and so is every partner, so the
-      depth-first search can only take a free neighbour, which is what the
-      pass does. Free nodes only get fewer during the pass, so each shared
-      sequence keeps one cursor at its first free position, which only
-      moves forward.
+      first free right node of its row. Every left node is at layer 0 in
+      that phase and so is every partner, so the depth-first search can
+      only take a free neighbour, which is what the pass does. Free nodes
+      only get fewer during the pass, so each shared sequence keeps one
+      cursor at its first free position, which only moves forward; a row's
+      own range is searched by one `list.index` call on match_right.
     - A breadth-first pass goes one layer at a time: the layer's unread
       sequences, united, less the right nodes already reached, are the new
       right nodes, and their partners the next layer. The layers do not
@@ -206,7 +206,12 @@ def _hopcroft_karp(
     for u, row in enumerate(adj):
         for seq in row:
             pos = cursor.get(id(seq))
-            if pos is None:
+            if pos is None and type(seq) is range:  # a step-1 range: one scan in C, no int made per node
+                try:
+                    v = match_right.index(-1, seq.start, seq.stop)
+                except ValueError:
+                    continue
+            elif pos is None:
                 for v in seq:
                     if match_right[v] == -1:
                         break
@@ -395,7 +400,7 @@ class _Class:
 
         Yields each block's first place in rows, the start of its window in
         the other side, and D between the two. The window covers the columns
-        within r in death of the block's rows.
+        within r in death of the block's rows, and may be empty.
         """
         birth, death, birth_o, death_o = self._sides(side)
         if rows is not None:
@@ -404,24 +409,27 @@ class _Class:
         lasts = np.minimum(starts + _BLOCK, len(death)) - 1
         lo, hi = self._windows(side, death[starts], death[lasts], r)
         for s, l, h in zip(starts.tolist(), lo, hi):
-            if l < h:
-                block = slice(s, s + _BLOCK)
-                yield s, l, _linf(birth[block], death[block], birth_o[l:h], death_o[l:h])
+            block = slice(s, s + _BLOCK)
+            yield s, l, _linf(birth[block], death[block], birth_o[l:h], death_o[l:h])
 
-    def edges(self, r: float, side: int = 0, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry of D at most r in the side's rows: its place in rows and its column, as int32.
+    def adjacency(
+        self, r: float, side: int, rows: np.ndarray | None, order: np.ndarray | None = None
+    ) -> list[list[int]]:
+        """The columns of {D <= r} in each of the side's rows (all, or the ascending positions rows), ascending.
 
-        The places ascend, and within a place the columns, both in death order.
+        A column is its place in death order or, given order, its value in
+        order. The rows share one int object per column: 8 bytes an entry, not a new int's 36.
         """
-        places, cols = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+        ints, adj = np.arange(len(self._sides(side)[3]), dtype=object), []
         for s, l, D in self._blocks(r, side, rows):
             i, j = (D <= r).nonzero()
-            places.append((i + s).astype(np.int32))
-            cols.append((j + l).astype(np.int32))
-        # one array at a time, so the pieces of only one are held twice
-        place = np.concatenate(places)
-        del places
-        return place, np.concatenate(cols)
+            j += l
+            if order is not None:  # a block's keys alone, so no array of every edge is held
+                i, j = np.divmod(np.sort(order[j] + i * len(ints)), len(ints))
+            cols = ints[j].tolist()
+            ends = i.searchsorted(np.arange(1, len(D) + 1)).tolist()
+            adj += [cols[start:end] for start, end in zip([0, *ends], ends)]
+        return adj
 
     def nearest(self) -> float:
         """The largest over points of the cheaper of the diagonal and its nearest partners in death."""
@@ -440,7 +448,7 @@ class _Class:
         """
         out_a, out_b = self.half_a.copy(), self.half_b.copy()
         for s, l, D in self._blocks(self.nearest(), 0, None):
-            np.minimum(out_a[s : s + _BLOCK], D.min(axis=1), out=out_a[s : s + _BLOCK])
+            np.minimum(out_a[s : s + _BLOCK], D.min(axis=1, initial=math.inf), out=out_a[s : s + _BLOCK])
             np.minimum(out_b[l : l + D.shape[1]], D.min(axis=0), out=out_b[l : l + D.shape[1]])
         return max(out_a.max(initial=0.0), out_b.max(initial=0.0))
 
@@ -456,9 +464,8 @@ class _Class:
         bound = eps
         for side, half in enumerate((self.half_a, self.half_b)):
             far = (half > eps).nonzero()[0]
-            n_other = len((self.half_b, self.half_a)[side])
-            adj = _row_lists(*self.edges(eps, side, far), len(far), n_other)
-            match_left = _hopcroft_karp(list(zip(adj)), n_other, all_layers=False)
+            adj = self.adjacency(eps, side, far)
+            match_left = _hopcroft_karp(list(zip(adj)), len(self._sides(side)[3]), all_layers=False)
             if -1 not in match_left:
                 continue
             match_right = dict(zip(match_left, range(len(match_left))))
@@ -514,18 +521,7 @@ class _Class:
 
         The rows of {D <= eps} in A's order, the near B points, the slots and both sides' half-persistences.
         """
-        row, col = self.edges(eps)
-        # each row's columns as B's indices, ascending: one sort of the keys row * n + index,
-        # in int32 where they fit, which halves the sort
-        n = len(self.half_b)
-        width = np.int32 if len(self.half_a) * n < 2**31 else np.int64
-        key = np.take(self.order_b.astype(width), col)
-        col = None
-        key += row.astype(width, copy=False) * n
-        key.sort()
-        col = key % n
-        key = None
-        by_death = _row_lists(row, col, len(self.half_a), len(self.half_b))
+        by_death = self.adjacency(eps, 0, None, self.order_b)
         a_by_index, b_by_index = np.argsort(self.order_a), np.argsort(self.order_b)
         rows = [by_death[k] for k in a_by_index.tolist()]
         half_a, half_b = self.half_a[a_by_index].tolist(), self.half_b[b_by_index].tolist()
@@ -541,8 +537,9 @@ class _Line(_Class):
     at both ends: the intervals all have the width 2 eps. So the greedy
     pass, each far point in death order taking the lowest unused partner in
     its window, finds a maximum matching (Glover, "Maximum matching in a
-    convex bipartite graph", Naval Res. Logist. Q. 14, 1967). Neither the
-    bound nor a probe reads D; `rows` reads it once, at the optimum.
+    convex bipartite graph", Naval Res. Logist. Q. 14, 1967). No method
+    reads a block of D. A and B must arrive sorted by death, as `_by_class`
+    hands them over, so that each point's index is its place in that order.
     """
 
     def lower(self) -> float:
@@ -586,15 +583,18 @@ class _Line(_Class):
                 return np.partition(values, failed - 1)[failed - 1]
         return eps
 
-
-def _row_lists(row: np.ndarray, col: np.ndarray, n_rows: int, n_cols: int) -> list[list[int]]:
-    """Each row's columns as a list, from entries sorted by row.
-
-    The rows share one int object per column: 8 bytes an entry, not a new int's 36.
-    """
-    ends = row.searchsorted(np.arange(1, n_rows + 1, dtype=row.dtype)).tolist()
-    cols = np.arange(n_cols, dtype=object)[col].tolist()
-    return [cols[start:end] for start, end in zip([0, *ends], ends)]
+    def rows(self, eps: float) -> tuple[list[range], list[int], range, list[float], list[float]]:
+        """As `_Class.rows`, each row the range of B's indices within eps of the A point, in its `_windows` slice."""
+        lo, hi = self._windows(0, self.death_a, self.death_a, eps)
+        other, rows = self.death_b.tolist(), []
+        for x, l, h in zip(self.death_a.tolist(), lo, hi):  # trimmed while |x - y| > eps, as `_linf` rounds it
+            while l < h and abs(x - other[l]) > eps:
+                l += 1
+            while l < h and abs(x - other[h - 1]) > eps:
+                h -= 1
+            rows.append(range(l, h))
+        near_b = (self.half_b <= eps).nonzero()[0].tolist()
+        return rows, near_b, range(len(other), len(other) + len(rows)), self.half_a.tolist(), self.half_b.tolist()
 
 
 def _slot_pairs(

@@ -277,8 +277,8 @@ class PersistencePoint(tuple):
     __slots__ = ()
 
     def __new__(cls, birth: float, death: float, index: TopologicalIndex):
-        if not death > birth:
-            raise ValueError(f"death {death!r} must exceed birth {birth!r}")
+        if not death > birth > -math.inf:
+            raise ValueError(f"need -inf < birth < death, got birth {birth!r} and death {death!r}")
         return super().__new__(cls, (float(birth), float(death), index))
 
     def __getnewargs__(self):  # what pickle and copy pass back to __new__

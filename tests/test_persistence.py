@@ -263,6 +263,14 @@ class TestPersistencePoint:
         with pytest.raises(ValueError):
             PersistencePoint(0.3, 0.1, TopologicalIndex(0, 0))
 
+    @pytest.mark.parametrize("birth", [-math.inf, math.inf, math.nan])
+    def test_birth_must_be_finite(self, birth):
+        # a birth of -inf made D hold NaN, and the bottleneck's radius search never ended
+        with pytest.raises(ValueError, match="need -inf < birth < death"):
+            PersistencePoint(birth, math.inf, TopologicalIndex(0, 0))
+        with pytest.raises(ValueError, match="need -inf < birth < death"):
+            PersistencePoint(birth, 1.0, TopologicalIndex(0, 0))
+
     def test_tuple_compatibility(self):
         p = pt(0.0, 0.5, 0, 1)
         assert p == (0.0, 0.5, (0, 1))

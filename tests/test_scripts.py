@@ -67,6 +67,17 @@ def test_bottleneck_scale_builds_the_independent_pair(scripts):
     assert {tuple(p.index) for p in D1.points + D2.points} == {(0, 1)}
 
 
+def test_bottleneck_scale_builds_a_class_pair(scripts):
+    # the line10000 pair's kind, at 50 points a side: one class, one birth, each side in diagram order
+    A, B = scripts("route_crossover").class_pair(50, near=True, one_birth=True)
+    assert A == sorted(A) and B == sorted(B)
+    D1, D2 = scripts("bottleneck_scale").class_diagrams(mm, 50, near=True, one_birth=True)
+    assert [p[:2] for p in D1.points] == [p[:2] for p in A] and [p[:2] for p in D2.points] == [p[:2] for p in B]
+    assert {p.index for p in D1.points + D2.points} == {(0, 1)} and {p.birth for p in D1.points + D2.points} == {0.0}
+    line = scripts("route_crossover").ROUTES["line"]
+    assert scripts("route_crossover").solve(line, A, B, False)[0] == mm.bottleneck_distance(D1, D2)
+
+
 def test_bottleneck_scale_compares_this_checkout_against_itself(scripts, capsys):
     root = str(SCRIPTS.parent)
     assert scripts("bottleneck_scale").main([root, root, "n100"]) == 0
